@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint lint-vettool lint-waivers lint-json chaos chaos-serve fuzz-smoke snapshot-compat bench-json bench-matrix bench-diff bench-smoke hashquality serve-smoke ci
+.PHONY: build test race vet lint lint-vettool lint-waivers lint-json chaos chaos-serve fuzz-smoke snapshot-compat bench-json bench-matrix bench-diff bench-smoke bench-test hashquality serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -78,8 +78,8 @@ snapshot-compat:
 # benchmark: the ingest path (ns/op, allocs/op, shard scaling, batch-size
 # sweep → BENCH_PR3.json), the query path (scalar vs bulk estimation,
 # QueryAll worker scaling → BENCH_PR5.json), and the line-rate ingest
-# pipeline (ring vs channel hand-off, block vs scalar hashing, queue-depth
-# sweep, end-to-end pcap replay → BENCH_PR8.json). Commit the refreshed
+# pipeline (ring hand-off, block vs scalar hashing, queue-depth sweep,
+# end-to-end pcap replay → BENCH_PR8.json). Commit the refreshed
 # file(s) when the corresponding path changes intentionally.
 bench-json:
 	$(GO) run ./cmd/caesar-bench -perf -perf-out BENCH_PR3.json -perf-count 5
@@ -121,6 +121,13 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkSketchObserve$$' -benchtime=100x -benchmem .
 	$(GO) test -run='^$$' -bench='BenchmarkFlowID' -benchtime=100x -benchmem ./internal/hashing
 
+# The benchmark's own tests (bench/README.md). bench/ is a separate module
+# built against this checkout through a replace directive, so the root
+# `go test ./...` neither runs nor compiles it; this target keeps the
+# benchmark building as the root API changes.
+bench-test:
+	cd bench && $(GO) test ./...
+
 # End-to-end drill of the live measurement service (docs/SERVICE.md):
 # builds the real caesar-serve binary, boots it on a trace replay with
 # checkpointing, queries every endpoint, SIGKILLs the process, restarts it
@@ -129,4 +136,4 @@ bench-smoke:
 serve-smoke:
 	$(GO) test -run=TestServeSmoke -count=1 -v ./cmd/caesar-serve
 
-ci: build vet test race lint lint-vettool lint-waivers chaos chaos-serve fuzz-smoke snapshot-compat bench-smoke hashquality serve-smoke
+ci: build vet test race lint lint-vettool lint-waivers chaos chaos-serve fuzz-smoke snapshot-compat bench-smoke bench-test hashquality serve-smoke

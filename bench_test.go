@@ -210,20 +210,19 @@ func shardedIngestConfig() Config {
 }
 
 // BenchmarkShardedObserveParallelMutex is the global-serialization
-// baseline: every producer goroutine funnels packets through the Observe
-// compatibility wrapper, so all of them contend on the one internal
-// handle's mutex — the shape of the ingest path before per-producer
-// handles existed.
+// baseline: every producer goroutine funnels packets through one shared
+// Ingester handle, so all of them contend on its mutex.
 func BenchmarkShardedObserveParallelMutex(b *testing.B) {
 	s, err := NewSharded(4, shardedIngestConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
+	h := s.Ingester()
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			s.Observe(FlowID(i & 1023))
+			h.Observe(FlowID(i & 1023))
 			i++
 		}
 	})

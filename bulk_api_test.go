@@ -97,9 +97,10 @@ func TestShardedEstimateManyBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		flows, sizes := bulkAPIFlows(1024)
+		h := s.Ingester()
 		for i, f := range flows {
 			for j := 0; j < sizes[i]; j++ {
-				s.Observe(f)
+				h.Observe(f)
 			}
 		}
 		s.Close()
@@ -140,8 +141,9 @@ func TestShardedEstimateManyZeroAllocsSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	flows, _ := bulkAPIFlows(1024)
+	h := s.Ingester()
 	for _, f := range flows {
-		s.Observe(f)
+		h.Observe(f)
 	}
 	s.Close()
 	est, err := s.Estimator()

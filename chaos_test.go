@@ -294,8 +294,8 @@ func TestChaosCloseContextDeadline(t *testing.T) {
 		}
 	}()
 	// Wait until the producer is actually wedged — one batch in the stalled
-	// worker, one in the queue, one blocked in dispatch — so CloseContext
-	// faces the deadlock scenario it exists for (the blocked dispatch holds
+	// worker, one in the queue, one blocked in enqueue — so CloseContext
+	// faces the deadlock scenario it exists for (the blocked enqueue holds
 	// the handle mutex the drain needs).
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		p := progress.Load()

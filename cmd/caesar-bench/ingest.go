@@ -6,16 +6,14 @@ package main
 //
 //   - routing: the scalar flow→shard hash vs the block-hashed RouteBlock
 //     (independent hashes pipeline instead of serializing on hash latency);
-//   - hand-off: the same parallel ingester workload over the lock-free SPSC
-//     rings vs the historical buffered channels, plus shard-scaling and
-//     ring-capacity sweeps;
+//   - hand-off: the parallel ingester workload over the lock-free SPSC
+//     rings, plus shard-scaling and ring-capacity sweeps;
 //   - end to end: a synthetic pcap replay through parse, parse+flow-ID
 //     (SHA-1/APHash), and the full packets-to-counters pipeline, with
 //     allocs/op proving the path allocation-free.
 //
-// The ring-vs-channel speedup is computed twice: against the channel mode
-// measured in the same run (same machine, same pressure), and against the
-// committed BENCH_PR3.json figure when that file is present.
+// The ring hand-off is compared against the committed channel-era
+// BENCH_PR3.json figure when that file is present.
 
 import (
 	"bytes"
@@ -45,8 +43,6 @@ type ingestReport struct {
 	QueueDepthSweep []perfBenchmark `json:"queue_depth_sweep"`
 	// Pipeline is the end-to-end pcap replay, ns per packet at each stage.
 	Pipeline []perfBenchmark `json:"pipeline"`
-	// SpeedupRingVsChannel compares the two queue kinds measured in this run.
-	SpeedupRingVsChannel float64 `json:"speedup_ring_vs_channel"`
 	// SpeedupVsPR3Baseline compares ring-mode ingest against the committed
 	// channel-era figure in BENCH_PR3.json (0 when the file is absent).
 	SpeedupVsPR3Baseline float64 `json:"speedup_vs_pr3_baseline"`
@@ -98,17 +94,11 @@ func runIngestPerf(path string, count int) {
 		measure("RouteBlock", 4, 0, benchRouteBlock),
 	)
 
-	// Hand-off layer: identical parallel workload, ring vs channel.
+	// Hand-off layer: the parallel ingester workload over the rings.
 	ring := measure("ShardedIngestRing", 4, caesar.DefaultShardBatchSize, func(b *testing.B) {
-		benchShardedQueue(b, 4, caesar.QueueRing, 0)
+		benchShardedQueue(b, 4, 0)
 	})
-	channel := measure("ShardedIngestChannel", 4, caesar.DefaultShardBatchSize, func(b *testing.B) {
-		benchShardedQueue(b, 4, caesar.QueueChannel, 0)
-	})
-	rep.Benchmarks = append(rep.Benchmarks, ring, channel)
-	if ring.NsOp > 0 {
-		rep.SpeedupRingVsChannel = channel.NsOp / ring.NsOp
-	}
+	rep.Benchmarks = append(rep.Benchmarks, ring)
 	if base := readPR3Baseline("BENCH_PR3.json"); base > 0 && ring.NsOp > 0 {
 		rep.PR3BaselineNsOp = base
 		rep.SpeedupVsPR3Baseline = base / ring.NsOp
@@ -117,11 +107,11 @@ func runIngestPerf(path string, count int) {
 	for _, n := range []int{1, 2, 4, 8} {
 		rep.ShardScaling = append(rep.ShardScaling, measure(
 			fmt.Sprintf("ShardedIngestRing/shards=%d", n), n, caesar.DefaultShardBatchSize,
-			func(b *testing.B) { benchShardedQueue(b, n, caesar.QueueRing, 0) }))
+			func(b *testing.B) { benchShardedQueue(b, n, 0) }))
 	}
 	for _, depth := range []int{16, 32, 64, 128, 256} {
 		p := measure(fmt.Sprintf("ShardedIngestRing/depth=%d", depth), 4, caesar.DefaultShardBatchSize,
-			func(b *testing.B) { benchShardedQueue(b, 4, caesar.QueueRing, depth) })
+			func(b *testing.B) { benchShardedQueue(b, 4, depth) })
 		rep.QueueDepthSweep = append(rep.QueueDepthSweep, p)
 	}
 
@@ -148,8 +138,8 @@ func runIngestPerf(path string, count int) {
 	if err := f.Close(); err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "perf-ingest: wrote %s (ring vs channel: %.2fx; vs committed PR3 baseline: %.2fx at GOMAXPROCS=%d, %d CPU)\n",
-		path, rep.SpeedupRingVsChannel, rep.SpeedupVsPR3Baseline, rep.GoMaxProcs, rep.NumCPU)
+	fmt.Fprintf(os.Stderr, "perf-ingest: wrote %s (vs committed PR3 baseline: %.2fx at GOMAXPROCS=%d, %d CPU)\n",
+		path, rep.SpeedupVsPR3Baseline, rep.GoMaxProcs, rep.NumCPU)
 }
 
 // readPR3Baseline pulls the committed ShardedObserveParallel ns/op out of
@@ -201,10 +191,10 @@ func benchRouteBlock(b *testing.B) {
 }
 
 // benchShardedQueue is the parallel ingester workload of benchShardedIngester
-// with the queue kind (and optionally the queue depth) selectable.
-func benchShardedQueue(b *testing.B, shards int, kind caesar.QueueKind, depth int) {
+// with the ring depth selectable (0 selects the default).
+func benchShardedQueue(b *testing.B, shards, depth int) {
 	s, err := caesar.NewShardedOptions(shards, perfSketchConfig(),
-		caesar.ShardedOptions{Queue: kind, QueueDepth: depth})
+		caesar.ShardedOptions{QueueDepth: depth})
 	if err != nil {
 		b.Fatal(err)
 	}

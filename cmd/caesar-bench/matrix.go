@@ -148,7 +148,7 @@ func runMatrixPerf(path string, count int, cpus []int) {
 			measure(fmt.Sprintf("FlowIDFastBlock/cpus=%d", n), benchFlowIDFastBlock),
 			measure(fmt.Sprintf("RouteBlock/cpus=%d", n), benchRouteBlock),
 			measure(fmt.Sprintf("ShardedIngestRing/cpus=%d", n), func(b *testing.B) {
-				benchShardedQueue(b, 4, caesar.QueueRing, 0)
+				benchShardedQueue(b, 4, 0)
 			}),
 			measure(fmt.Sprintf("ReplayIngest/fused-fast/cpus=%d", n), func(b *testing.B) {
 				benchReplayIngestFused(b, capture)

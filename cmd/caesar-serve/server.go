@@ -27,6 +27,11 @@ type server struct {
 	w    *caesar.ShardedWindow
 	opts serveOptions
 
+	// ingest is the window handle every POST /observe request shares:
+	// concurrent requests serialize on its mutex, and it follows the window
+	// across rotations.
+	ingest *caesar.WindowIngester
+
 	candMu sync.Mutex
 	cand   detect.Candidates
 
@@ -67,6 +72,7 @@ func newServer(w *caesar.ShardedWindow, opts serveOptions) *server {
 	return &server{
 		w:        w,
 		opts:     opts,
+		ingest:   w.Ingester(),
 		inflight: make(chan struct{}, opts.maxInflight),
 		events:   supervise.NewEventLog(0, nil),
 	}
@@ -519,7 +525,7 @@ func (s *server) handleObserve(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	s.w.ObserveBatch(req.Flows)
+	s.ingest.ObserveBatch(req.Flows)
 	s.noteIngested(len(req.Flows))
 	s.addCandidates(req.Flows)
 	writeJSON(rw, map[string]int{"observed": len(req.Flows)})

@@ -95,7 +95,8 @@ func ExampleWindow() {
 	// Output: windowed size: 200
 }
 
-// Sharded ingestion spreads construction over worker goroutines.
+// Sharded ingestion spreads construction over worker goroutines; each
+// producer feeds them through its own Ingester handle.
 func ExampleNewSharded() {
 	sh, err := caesar.NewSharded(4, caesar.Config{
 		Counters:      1 << 14,
@@ -106,8 +107,9 @@ func ExampleNewSharded() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	h := sh.Ingester()
 	for i := 0; i < 900; i++ {
-		sh.Observe(caesar.FlowID(11))
+		h.Observe(caesar.FlowID(11))
 	}
 	sh.Close()
 	est, err := sh.Estimator()

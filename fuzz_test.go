@@ -105,8 +105,9 @@ func FuzzTornSnapshot(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
+		h := sh.Ingester()
 		for i := 0; i < 300; i++ {
-			sh.Observe(FlowID(i % 24))
+			h.Observe(FlowID(i % 24))
 		}
 		sh.Close()
 		var sb bytes.Buffer
@@ -196,8 +197,9 @@ func FuzzSnapshotReadFrom(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	h := sh.Ingester()
 	for i := 0; i < 500; i++ {
-		sh.Observe(FlowID(i % 40))
+		h.Observe(FlowID(i % 40))
 	}
 	sh.Close()
 	var sharded bytes.Buffer

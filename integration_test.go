@@ -111,8 +111,9 @@ func TestIntegrationShardedMatchesUnshardedMass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := sh.Ingester()
 	for _, p := range tr.Packets {
-		sh.Observe(p.Flow)
+		h.Observe(p.Flow)
 	}
 	sh.Close()
 	if got := sh.NumPackets(); got != uint64(tr.NumPackets()) {

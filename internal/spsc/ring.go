@@ -73,14 +73,15 @@ type Ring[T any] struct {
 }
 
 // New returns a ring holding up to capacity elements. Capacity is rounded up
-// to the next power of two, with a floor of 2. It panics if capacity is
+// to the next power of two, with a floor of 1 (a one-slot ring has mask 0, and
+// the monotone cursors still tell full from empty). It panics if capacity is
 // negative or rounds beyond 2^62 (a programming error; real queue depths are
 // tiny).
 func New[T any](capacity int) *Ring[T] {
 	if capacity < 0 {
 		panic("spsc: negative capacity")
 	}
-	c := uint64(2)
+	c := uint64(1)
 	for c < uint64(capacity) {
 		c <<= 1
 		if c > 1<<62 {

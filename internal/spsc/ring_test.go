@@ -1,6 +1,7 @@
 package spsc
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -8,7 +9,7 @@ import (
 
 func TestCapacityRounding(t *testing.T) {
 	cases := []struct{ in, want int }{
-		{0, 2}, {1, 2}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {64, 64}, {65, 128},
+		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {64, 64}, {65, 128},
 	}
 	for _, c := range cases {
 		if got := New[int](c.in).Cap(); got != c.want {
@@ -29,9 +30,16 @@ func TestNegativeCapacityPanics(t *testing.T) {
 // TestFullEmptyBoundary exercises the exact full and empty conditions
 // single-threaded: fill to capacity, verify the next push fails, drain to
 // empty, verify the next pop fails — across several fill/drain cycles so the
-// cursors wrap the buffer many times.
+// cursors wrap the buffer many times. Capacity 1 is the mask-0 edge case.
 func TestFullEmptyBoundary(t *testing.T) {
-	r := New[int](4)
+	for _, capacity := range []int{1, 4} {
+		t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) {
+			testFullEmptyBoundary(t, New[int](capacity))
+		})
+	}
+}
+
+func testFullEmptyBoundary(t *testing.T, r *Ring[int]) {
 	next := 0
 	for cycle := 0; cycle < 100; cycle++ {
 		for i := 0; i < r.Cap(); i++ {
@@ -62,11 +70,19 @@ func TestFullEmptyBoundary(t *testing.T) {
 }
 
 // TestConcurrentFIFO hammers a small ring from one producer and one consumer
-// and checks every element arrives exactly once, in order. The tiny capacity
-// forces constant wrap-around and full/empty boundary hits under -race.
+// and checks every element arrives exactly once, in order. The tiny
+// capacities force constant wrap-around and full/empty boundary hits under
+// -race; at capacity 1 every push fills the ring and every pop empties it.
 func TestConcurrentFIFO(t *testing.T) {
+	for _, capacity := range []int{1, 8} {
+		t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) {
+			testConcurrentFIFO(t, New[uint64](capacity))
+		})
+	}
+}
+
+func testConcurrentFIFO(t *testing.T, r *Ring[uint64]) {
 	const n = 200_000
-	r := New[uint64](8)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

@@ -26,12 +26,11 @@ import (
 // the whole configured budget is used (per-shard totals sum exactly to the
 // configured Counters and CacheEntries).
 //
-// There are two ingest paths. Observe may be called from multiple
-// goroutines concurrently; it is a compatibility wrapper over one internal
-// Ingester handle, so concurrent callers serialize on that handle's mutex.
-// For ingest that scales with producers, each producer goroutine should
-// hold its own handle from Ingester(): handles buffer privately per shard
-// and never contend with each other. Call Close (or CloseContext) to drain
+// Packets enter through Ingester handles. Each producer goroutine should
+// hold its own handle: handles buffer privately per shard and hand full
+// batches to the shard workers through their own SPSC rings, so they never
+// contend with each other. A handle is also safe to share, in which case
+// its callers serialize on its mutex. Call Close (or CloseContext) to drain
 // the workers (and every outstanding handle) before querying.
 //
 // # Overload and fault tolerance
@@ -53,13 +52,10 @@ import (
 type Sharded struct {
 	opts   ShardedOptions
 	shards []*Sketch
-	// queues are the per-shard hand-off channels in QueueChannel mode; nil in
-	// QueueRing mode.
-	queues []chan shardBatch
-	// ringShards hold the per-shard SPSC ring sets in QueueRing mode (the
-	// default); nil in QueueChannel mode. Each registered Ingester owns one
-	// ring per shard, so every ring has exactly one producer (the handle,
-	// serialized by its own mutex) and one consumer (the shard worker).
+	// ringShards hold the per-shard SPSC ring sets (nil on snapshot-loaded
+	// instances). Each registered Ingester owns one ring per shard, so every
+	// ring has exactly one producer (the handle, serialized by its own mutex)
+	// and one consumer (the shard worker).
 	ringShards []*ringShard
 	wg         sync.WaitGroup
 	// router maps flows to shards: one seeded Mix64 and an exact
@@ -68,9 +64,9 @@ type Sharded struct {
 	// MixWithSeed(flow, seed) % n routing.
 	router *hashing.ShardRouter
 
-	// hasher is the keyed fast flow-ID hash, seeded from Config.Seed; used
-	// by the tuple-level entry points only when opts.FlowHash == FlowHashFast.
-	hasher hashing.FlowIDer
+	// ids derives flow IDs for the tuple-level entry points under
+	// opts.FlowHash.
+	ids tupleHasher
 
 	// batchPool recycles full batches handed to the shard workers back to
 	// the producers, so steady-state ingest allocates no buffers.
@@ -79,18 +75,9 @@ type Sharded struct {
 	mu      sync.Mutex
 	handles []*Ingester // registered producer handles, guarded by mu
 	closed  bool        // guarded by mu
-	// sendWG counts in-flight full-batch sends that happen outside mu.
-	// A dispatching handle registers the send while still holding mu; Close
-	// waits for all registered senders before closing the queues, so a send
-	// can never hit a closed channel (which would panic and silently drop
-	// the batch).
-	sendWG sync.WaitGroup
-
-	// legacy is the handle behind the Observe compatibility wrapper.
-	legacy *Ingester
 
 	// abort is closed (once) when a deadline-bounded shutdown gives up on
-	// stragglers: blocked senders fall out of their queue sends and workers
+	// stragglers: blocked producers fall out of their ring pushes and workers
 	// discard still-queued batches, each counting its packets as timed-out
 	// drops, so CloseContext's wait is bounded by the one batch a worker
 	// may already be applying.
@@ -185,36 +172,6 @@ func (h Health) String() string {
 	}
 }
 
-// QueueKind selects the per-shard hand-off mechanism between producers and
-// shard workers.
-type QueueKind int
-
-const (
-	// QueueRing (the default) hands batches over through bounded lock-free
-	// SPSC rings, one per (Ingester, shard) pair: producers never take a
-	// shared lock or wake the scheduler to deliver a batch, so ingest scales
-	// with producer count. Semantics — overflow policies, the drop ledger,
-	// quarantine, deadline shutdown — are identical to QueueChannel.
-	QueueRing QueueKind = iota
-	// QueueChannel hands batches over through one buffered Go channel per
-	// shard (the historical implementation). Kept as a differential-testing
-	// oracle and benchmark baseline; TestRingChannelEquivalence pins the two
-	// modes to bit-identical estimates and drop ledgers.
-	QueueChannel
-)
-
-// String names the queue kind for logs and reports.
-func (k QueueKind) String() string {
-	switch k {
-	case QueueRing:
-		return "ring"
-	case QueueChannel:
-		return "channel"
-	default:
-		return fmt.Sprintf("queuekind(%d)", int(k))
-	}
-}
-
 // FlowHash selects the tuple → flow-ID derivation used by the tuple-level
 // ingest entry points (ObservePacket, ObservePackets, HashTuple). Entry
 // points that take pre-hashed FlowIDs (Observe, ObserveBatch) are
@@ -252,6 +209,46 @@ func (f FlowHash) String() string {
 	}
 }
 
+// tupleHasher is a FlowHash choice bound to its key: the one place that
+// decides between the paper's SHA-1 ⊕ APHash and the keyed fast hash.
+type tupleHasher struct {
+	fast bool
+	ider hashing.FlowIDer
+}
+
+// newTupleHasher keys fh's derivation from seed (only the fast hash is
+// keyed).
+func newTupleHasher(fh FlowHash, seed uint64) tupleHasher {
+	return tupleHasher{fast: fh == FlowHashFast, ider: hashing.NewFlowIDer(seed)}
+}
+
+// id derives one tuple's flow ID.
+//
+//caesar:hotpath per-packet flow-ID derivation on the tuple ingest path
+func (th *tupleHasher) id(t FiveTuple) FlowID {
+	if th.fast {
+		return th.ider.ID(t)
+	}
+	return t.ID()
+}
+
+// block appends the flow IDs of tuples to dst; the fast hash pipelines
+// independent hash states across the block (FlowIDer.IDBlock).
+//
+//caesar:hotpath block flow-ID derivation on the fused tuple ingest path
+func (th *tupleHasher) block(dst []FlowID, tuples []FiveTuple) []FlowID {
+	if th.fast {
+		return th.ider.IDBlock(dst, tuples)
+	}
+	//caesar:ignore allocfree slices.Grow is a no-op once the caller's scratch has reached steady-state capacity
+	dst = slices.Grow(dst, len(tuples))
+	for _, t := range tuples {
+		//caesar:ignore allocfree dst was pre-grown by len(tuples) just above; the append writes into reserved capacity
+		dst = append(dst, t.ID())
+	}
+	return dst
+}
+
 // ShardedHooks are optional instrumentation and fault-injection points on
 // the ingest path. Production deployments leave them zero; the chaos suite
 // wires internal/faultinject's deterministic faults through them with no
@@ -283,8 +280,9 @@ type ShardedOptions struct {
 	// the queue handoff further but hold packets longer before they become
 	// visible to the shard. Default 256.
 	BatchSize int
-	// QueueDepth is the per-shard queue capacity in batches; once a shard
-	// falls this far behind, OverflowPolicy decides what producers do.
+	// QueueDepth is the capacity in batches of each handle's ring to each
+	// shard, rounded up to a power of two; once a shard falls this far
+	// behind a handle, OverflowPolicy decides what the handle does.
 	// Default 64.
 	QueueDepth int
 	// OverflowPolicy selects the full-queue behavior: Block (default,
@@ -293,9 +291,6 @@ type ShardedOptions struct {
 	// SampleRate is N for the Sample policy: an overflowing batch keeps one
 	// packet in N. Default 8; ignored by the other policies.
 	SampleRate int
-	// Queue selects the hand-off mechanism: QueueRing (default, lock-free
-	// SPSC rings) or QueueChannel (the historical buffered channels).
-	Queue QueueKind
 	// FlowHash selects the tuple → flow-ID derivation of the tuple-level
 	// ingest entry points: FlowHashSHA1 (default, paper-faithful) or
 	// FlowHashFast (keyed SipHash-2-4, seeded from Config.Seed). A runtime
@@ -312,11 +307,9 @@ type ShardedOptions struct {
 // can reference the stock configuration.
 const (
 	DefaultShardBatchSize = 256
-	// DefaultShardQueueDepth was tuned for the channel hand-off and
-	// re-swept for the SPSC rings (caesar-bench -perf-ingest, queue_depth_sweep
-	// in BENCH_PR8.json): throughput is flat from 16 to 256 batches within
-	// run-to-run noise, so the channel-era value stands. Rings round the
-	// depth up to a power of two.
+	// DefaultShardQueueDepth was swept for the SPSC rings (caesar-bench
+	// -perf-ingest, queue_depth_sweep in BENCH_PR8.json): throughput is flat
+	// from 16 to 256 batches within run-to-run noise.
 	DefaultShardQueueDepth = 64
 	// DefaultShardSampleRate is the Sample policy's keep ratio: 1 in 8.
 	DefaultShardSampleRate = 8
@@ -347,9 +340,6 @@ func (o ShardedOptions) validate() error {
 	}
 	if o.SampleRate < 1 {
 		return fmt.Errorf("caesar: ShardedOptions.SampleRate must be >= 1, got %d", o.SampleRate)
-	}
-	if o.Queue < QueueRing || o.Queue > QueueChannel {
-		return fmt.Errorf("caesar: unknown ShardedOptions.Queue %d", o.Queue)
 	}
 	if o.FlowHash < FlowHashSHA1 || o.FlowHash > FlowHashFast {
 		return fmt.Errorf("caesar: unknown ShardedOptions.FlowHash %d", o.FlowHash)
@@ -400,12 +390,6 @@ type dropStats struct {
 	batches    paddedCounter // whole batches dropped, all causes
 }
 
-// packets returns the total dropped-packet count across causes.
-func (d *dropStats) packets() uint64 {
-	return d.overflow.Load() + d.sampled.Load() + d.quarantine.Load() +
-		d.timeout.Load() + d.afterClose.Load() + d.injected.Load()
-}
-
 // NewSharded builds n shards from a total-budget config with default ingest
 // tuning. n = 0 selects GOMAXPROCS shards.
 func NewSharded(n int, cfg Config) (*Sharded, error) {
@@ -415,6 +399,13 @@ func NewSharded(n int, cfg Config) (*Sharded, error) {
 // NewShardedOptions builds n shards from a total-budget config with
 // explicit ingest tuning. n = 0 selects GOMAXPROCS shards.
 func NewShardedOptions(n int, cfg Config, opts ShardedOptions) (*Sharded, error) {
+	return newSharded(n, cfg, opts, newTupleHasher(opts.FlowHash, cfg.Seed))
+}
+
+// newSharded is NewShardedOptions with the tuple hasher supplied by the
+// caller: a ShardedWindow hands every epoch its base-seed hasher, so a flow
+// keeps one ID across rotations.
+func newSharded(n int, cfg Config, opts ShardedOptions, ids tupleHasher) (*Sharded, error) {
 	if n == 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
@@ -434,25 +425,14 @@ func NewShardedOptions(n int, cfg Config, opts ShardedOptions) (*Sharded, error)
 	s := &Sharded{
 		opts:         opts,
 		shards:       make([]*Sketch, n),
+		ringShards:   make([]*ringShard, n),
 		router:       hashing.NewShardRouter(n, shardRouteSeed),
-		hasher:       hashing.NewFlowIDer(cfg.Seed),
+		ids:          ids,
 		abort:        make(chan struct{}),
 		shardDropped: make([]paddedCounter, n),
 		shardDown:    make([]atomic.Uint32, n),
 		workerExited: make([]chan struct{}, n),
 		panicReasons: make(map[int]string),
-	}
-	for i := range s.workerExited {
-		s.workerExited[i] = make(chan struct{})
-	}
-	switch opts.Queue {
-	case QueueChannel:
-		s.queues = make([]chan shardBatch, n)
-	default:
-		s.ringShards = make([]*ringShard, n)
-		for i := range s.ringShards {
-			s.ringShards[i] = newRingShard()
-		}
 	}
 	for i := range s.shards {
 		// Spread the division remainders across the first shards so no part
@@ -472,49 +452,14 @@ func NewShardedOptions(n int, cfg Config, opts ShardedOptions) (*Sharded, error)
 			return nil, err
 		}
 		s.shards[i] = sk
-		if s.queues != nil {
-			s.queues[i] = make(chan shardBatch, opts.QueueDepth)
-		}
+		s.ringShards[i] = newRingShard()
+		s.workerExited[i] = make(chan struct{})
 	}
 	for i := range s.shards {
 		s.wg.Add(1)
-		if s.ringShards != nil {
-			go s.ringWorker(i)
-		} else {
-			go s.worker(i)
-		}
+		go s.worker(i)
 	}
-	s.legacy = s.Ingester()
 	return s, nil
-}
-
-// worker consumes shard i's queue. A batch is applied under recover: a
-// panicking shard is quarantined and the worker degrades into a counting
-// drain, so producers blocked on its queue (and Close) never hang on a dead
-// consumer and every abandoned packet is accounted.
-func (s *Sharded) worker(i int) {
-	defer s.wg.Done()
-	//caesar:ignore atomicdiscipline worker i is the sole closer of its own exit latch; no other goroutine ever closes or sends on workerExited[i]
-	defer close(s.workerExited[i])
-	for batch := range s.queues[i] {
-		if s.aborted() {
-			// Deadline-bounded shutdown gave up on queued work: count it
-			// instead of applying it.
-			s.dropBatch(i, len(batch), &s.drops.timeout)
-			s.putBatch(batch)
-			continue
-		}
-		if s.applyBatch(i, batch) {
-			continue
-		}
-		// The batch panicked. Quarantine this shard and drain the rest of
-		// its queue as counted drops until Close closes the channel.
-		for b := range s.queues[i] {
-			s.dropBatch(i, len(b), &s.drops.quarantine)
-			s.putBatch(b)
-		}
-		return
-	}
 }
 
 // applyBatch runs one batch through shard i under recover, reporting
@@ -642,47 +587,17 @@ func (s *Sharded) Options() ShardedOptions { return s.opts }
 
 // ShardFor returns the index of the shard that owns a flow.
 //
-//caesar:hotpath routes every packet on the scalar Observe path
+//caesar:hotpath routes every flow on the scalar query path
 func (s *Sharded) ShardFor(flow FlowID) int {
 	return s.router.Route(flow)
 }
-
-// Observe routes one packet to its shard. Safe for concurrent use; it is a
-// thin compatibility wrapper over an internal Ingester handle, so all
-// callers serialize on that handle's mutex. Producers that need ingest to
-// scale with cores should hold their own handle from Ingester(). After
-// Close, Observe is a counted no-op (see Ingester.Observe).
-func (s *Sharded) Observe(flow FlowID) { s.legacy.Observe(flow) }
-
-// ObserveBatch routes a batch of packets to their shards in one call,
-// amortizing the route-and-buffer cost. Safe for concurrent use; same
-// serialization and after-Close semantics as Observe.
-func (s *Sharded) ObserveBatch(flows []FlowID) { s.legacy.ObserveBatch(flows) }
 
 // HashTuple derives the packet's flow ID under this sketch's configured
 // FlowHash: the paper's SHA-1 ⊕ APHash by default, the keyed fast hash when
 // the options selected FlowHashFast. Queries against tuple-level ingest must
 // derive their flow IDs through this method (or an identically configured
 // hasher) — the two hashes produce disjoint ID namespaces.
-//
-//caesar:hotpath per-packet flow-ID derivation on the tuple ingest path
-func (s *Sharded) HashTuple(t FiveTuple) FlowID {
-	if s.opts.FlowHash == FlowHashFast {
-		return s.hasher.ID(t)
-	}
-	return t.ID()
-}
-
-// ObservePacket parses a 5-tuple and routes one packet of its flow, deriving
-// the flow ID with the configured FlowHash.
-func (s *Sharded) ObservePacket(t FiveTuple) { s.Observe(s.HashTuple(t)) }
-
-// ObservePackets routes a batch of packets, given as raw 5-tuples, to their
-// shards through the shared legacy handle — the fused block ingest path
-// (hash block → route block → per-shard buffers) under one lock
-// acquisition. Producers that need ingest to scale should call
-// Ingester().ObservePackets on their own handles.
-func (s *Sharded) ObservePackets(tuples []FiveTuple) { s.legacy.ObservePackets(tuples) }
+func (s *Sharded) HashTuple(t FiveTuple) FlowID { return s.ids.id(t) }
 
 // Ingester returns a new per-producer ingest handle. Handles own private
 // per-shard fill buffers, so producers holding distinct handles never
@@ -702,17 +617,15 @@ func (s *Sharded) Ingester() *Ingester {
 	if s.closed {
 		panic("caesar: Ingester after Close")
 	}
-	if s.ringShards != nil {
-		// Mint this handle's private SPSC rings and register them with the
-		// shard workers. Registration must stay inside the closed check's
-		// critical section: closeWith sets closed under mu before it closes
-		// the per-shard closing latches, so a ring registered here is always
-		// seen (and drained) by its worker before that worker may exit.
-		h.rings = make([]*spsc.Ring[shardBatch], len(s.shards)) //caesar:ignore lockdiscipline h is under construction and not yet shared with any goroutine
-		for i := range h.rings {
-			h.rings[i] = spsc.New[shardBatch](s.opts.QueueDepth) //caesar:ignore lockdiscipline h is under construction and not yet shared with any goroutine
-			s.ringShards[i].register(h.rings[i])
-		}
+	// Mint this handle's private SPSC rings and register them with the shard
+	// workers. Registration must stay inside the closed check's critical
+	// section: closeWith sets closed under mu before it closes the per-shard
+	// closing latches, so a ring registered here is always seen (and
+	// drained) by its worker before that worker may exit.
+	h.rings = make([]*spsc.Ring[shardBatch], len(s.shards)) //caesar:ignore lockdiscipline h is under construction and not yet shared with any goroutine
+	for i := range h.rings {
+		h.rings[i] = spsc.New[shardBatch](s.opts.QueueDepth) //caesar:ignore lockdiscipline h is under construction and not yet shared with any goroutine
+		s.ringShards[i].register(h.rings[i])
 	}
 	s.handles = append(s.handles, h)
 	return h
@@ -720,132 +633,81 @@ func (s *Sharded) Ingester() *Ingester {
 
 // Ingester is a per-producer ingest handle for a Sharded sketch. It is safe
 // for concurrent use, but its point is the opposite: give each producer
-// goroutine its own handle and the packet path never contends — Observe is
+// goroutine its own handle and the packet path never contends — ingest is
 // a buffered append behind a mutex no other producer touches, and only a
 // full batch (every BatchSize packets per shard) reaches shared state.
 type Ingester struct {
 	s *Sharded
 
-	// rings are this handle's private SPSC hand-off rings, one per shard
-	// (QueueRing mode only; nil under QueueChannel). The handle is the sole
-	// producer of each — every push and the eventual Close happen under mu —
-	// and the shard worker is the sole consumer, which is exactly the SPSC
-	// contract.
+	// rings are this handle's private SPSC hand-off rings, one per shard.
+	// The handle is the sole producer of each — every push and the eventual
+	// Close happen under mu — and the shard worker is the sole consumer,
+	// which is exactly the SPSC contract.
 	rings []*spsc.Ring[shardBatch]
 
 	mu       sync.Mutex
 	batches  []shardBatch // per-shard private fill buffers, guarded by mu
-	routeBuf []uint32     // ObserveBatch block-routing scratch, guarded by mu
-	idBuf    []FlowID     // ObservePackets block-hashing scratch, guarded by mu
+	routeBuf []uint32     // block-routing scratch, guarded by mu
+	idBuf    []FlowID     // tuple block-hashing scratch, guarded by mu
 	closed   bool         // guarded by mu
 }
 
-// Observe routes one packet to its shard's buffer, dispatching the buffer
-// to the shard worker when it fills.
+// Observe routes one packet to its shard's buffer, handing the buffer to
+// the shard worker when it fills.
 //
-// After Close, Observe is a counted no-op: the packet is discarded and
-// accounted in Stats.DroppedAfterClose, so racing producers that lose the
-// Close rendezvous keep the observed == counted + dropped invariant instead
-// of crashing the process. (Before this contract was pinned, late observers
-// panicked; the counted no-op is strictly more robust and equally loud in
-// the accounting.)
-func (h *Ingester) Observe(flow FlowID) {
-	i := h.s.ShardFor(flow)
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		h.s.dropAfterClose(i, 1)
-		return
-	}
-	//caesar:ignore allocfree per-shard batches are minted with BatchSize capacity and swapped out exactly at len==cap, so this append never grows
-	b := append(h.batches[i], flow)
-	if len(b) == cap(b) {
-		h.batches[i] = h.s.getBatch()
-		h.dispatch(i, b)
-	} else {
-		h.batches[i] = b
-	}
-	h.mu.Unlock()
-}
+// After Close, every entry point is a counted no-op: the packets are
+// discarded and accounted in Stats.DroppedAfterClose, so racing producers
+// that lose the Close rendezvous keep the observed == counted + dropped
+// invariant instead of crashing the process.
+func (h *Ingester) Observe(flow FlowID) { h.observe([]FlowID{flow}, nil) }
 
 // ObserveBatch routes a batch of packets to their shards under a single
-// lock acquisition. After Close it is a counted no-op, like Observe.
+// lock acquisition, amortizing the route-and-buffer cost.
+func (h *Ingester) ObserveBatch(flows []FlowID) { h.observe(flows, nil) }
+
+// ObservePacket parses a 5-tuple and routes one packet of its flow, deriving
+// the flow ID with the configured FlowHash.
+func (h *Ingester) ObservePacket(t FiveTuple) { h.observe(nil, []FiveTuple{t}) }
+
+// ObservePackets is the fused tuple-level block ingest path: one call takes
+// a block of raw 5-tuples through flow-ID hashing (the configured FlowHash),
+// block shard routing, and the per-shard buffer appends under a single lock
+// acquisition.
+func (h *Ingester) ObservePackets(tuples []FiveTuple) { h.observe(nil, tuples) }
+
+// observe is the one ingest body behind every entry point: it hashes the
+// tuples when given tuples instead of flows, computes the shard of every
+// flow as one block (RouteBlock: the routing hashes are data-independent,
+// so the tight loop pipelines where a per-packet hash→buffer sequence would
+// serialize on each hash's latency; bit-identical to ShardFor per flow),
+// appends each flow to its shard's buffer, and enqueues every buffer that
+// fills.
 //
-// The shard of every flow is computed first as one block (RouteBlock): the
-// routing hashes are data-independent, so the tight hash loop pipelines where
-// the scalar hash→buffer sequence would serialize on each hash's latency.
-// Routing is bit-identical to calling ShardFor per flow.
-//
-//caesar:hotpath the bulk ingest entry point
-func (h *Ingester) ObserveBatch(flows []FlowID) {
-	if len(flows) == 0 {
+//caesar:hotpath the ingest body of every Ingester entry point
+func (h *Ingester) observe(flows []FlowID, tuples []FiveTuple) {
+	if len(flows) == 0 && len(tuples) == 0 {
 		return
 	}
 	h.mu.Lock()
+	if len(tuples) > 0 {
+		h.idBuf = h.s.ids.block(h.idBuf[:0], tuples)
+		flows = h.idBuf
+	}
+	h.routeBuf = h.s.router.RouteBlock(flows, h.routeBuf[:0])
 	if h.closed {
-		h.mu.Unlock()
-		for _, flow := range flows {
-			h.s.dropAfterClose(h.s.ShardFor(flow), 1)
+		for _, i := range h.routeBuf {
+			h.s.dropAfterClose(int(i))
 		}
+		h.mu.Unlock()
 		return
 	}
-	// The route-and-buffer tail below is kept as a full body here and in
-	// ObservePackets (not factored into a helper) so the lock acquisition
-	// and every guarded-field access sit in one function — the same
-	// two-full-bodies discipline as core's Add/addFrom.
-	h.routeBuf = h.s.router.RouteBlock(flows, h.routeBuf[:0])
 	for j, flow := range flows {
 		i := int(h.routeBuf[j])
 		//caesar:ignore allocfree per-shard batches are minted with BatchSize capacity and swapped out exactly at len==cap, so this append never grows
 		b := append(h.batches[i], flow)
 		if len(b) == cap(b) {
 			h.batches[i] = h.s.getBatch()
-			h.dispatch(i, b)
-		} else {
-			h.batches[i] = b
-		}
-	}
-	h.mu.Unlock()
-}
-
-// ObservePackets is the fused tuple-level block ingest path: one call takes
-// a block of raw 5-tuples through flow-ID hashing (the configured FlowHash;
-// FlowIDer.IDBlock pipelines independent hash states when fast), block shard
-// routing, and the per-shard buffer appends — all under a single lock
-// acquisition, with no per-packet call anywhere. After Close it is a counted
-// no-op, like Observe.
-//
-//caesar:hotpath the fused pcap.ReadBlock → IDBlock → RouteBlock → buffers ingest path
-func (h *Ingester) ObservePackets(tuples []FiveTuple) {
-	if len(tuples) == 0 {
-		return
-	}
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		for _, t := range tuples {
-			h.s.dropAfterClose(h.s.ShardFor(h.s.HashTuple(t)), 1)
-		}
-		return
-	}
-	if h.s.opts.FlowHash == FlowHashFast {
-		h.idBuf = h.s.hasher.IDBlock(h.idBuf[:0], tuples)
-	} else {
-		//caesar:ignore allocfree slices.Grow is a no-op once idBuf has reached steady-state capacity
-		h.idBuf = slices.Grow(h.idBuf[:0], len(tuples))
-		for _, t := range tuples {
-			//caesar:ignore allocfree idBuf was pre-grown to len(tuples) just above; the append writes into reserved capacity
-			h.idBuf = append(h.idBuf, t.ID())
-		}
-	}
-	h.routeBuf = h.s.router.RouteBlock(h.idBuf, h.routeBuf[:0])
-	for j, flow := range h.idBuf {
-		i := int(h.routeBuf[j])
-		//caesar:ignore allocfree per-shard batches are minted with BatchSize capacity and swapped out exactly at len==cap, so this append never grows
-		b := append(h.batches[i], flow)
-		if len(b) == cap(b) {
-			h.batches[i] = h.s.getBatch()
-			h.dispatch(i, b)
+			h.enqueue(i, b)
 		} else {
 			h.batches[i] = b
 		}
@@ -854,19 +716,15 @@ func (h *Ingester) ObservePackets(tuples []FiveTuple) {
 }
 
 // dropAfterClose accounts one post-Close packet destined for shard i.
-func (s *Sharded) dropAfterClose(i, n int) {
-	s.drops.afterClose.Add(uint64(n))
-	s.shardDropped[i].Add(uint64(n))
+func (s *Sharded) dropAfterClose(i int) {
+	s.drops.afterClose.Add(1)
+	s.shardDropped[i].Add(1)
 }
-
-// ObservePacket parses a 5-tuple and routes one packet of its flow, deriving
-// the flow ID with the configured FlowHash.
-func (h *Ingester) ObservePacket(t FiveTuple) { h.Observe(h.s.HashTuple(t)) }
 
 // Flush pushes the handle's partially-filled buffers to the shard workers
 // without closing the handle, bounding how long a trickle of packets can
 // sit invisible in a producer's buffers. The pushes respect the overflow
-// policy, exactly like a full-batch dispatch. No-op after Close.
+// policy, exactly like a full batch. No-op after Close.
 func (h *Ingester) Flush() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -876,16 +734,20 @@ func (h *Ingester) Flush() {
 	for i, b := range h.batches {
 		if len(b) > 0 {
 			h.batches[i] = h.s.getBatch()
-			h.dispatch(i, b)
+			h.enqueue(i, b)
 		}
 	}
 }
 
 // FlushContext is Flush with a deadline: each partially-filled buffer is
-// offered to its shard queue until ctx expires, after which the remaining
+// offered to its shard's ring until ctx expires, after which the remaining
 // buffers are counted in Stats.DroppedTimeout — never silently lost — and
 // ctx's error is returned. A nil error means every buffered packet reached
-// its queue. No-op (nil) after Close.
+// its ring. No-op (nil) after Close.
+//
+// The wait is on ctx alone: the worker keeps consuming (or count-draining)
+// its rings until they are closed, and closing them requires this handle's
+// mutex, so a push always lands unless the deadline fires.
 func (h *Ingester) FlushContext(ctx context.Context) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -902,95 +764,29 @@ func (h *Ingester) FlushContext(ctx context.Context) error {
 			// The deadline already fired: count the rest without re-waiting.
 			h.s.dropBatch(i, len(b), &h.s.drops.timeout)
 			h.s.putBatch(b)
-			continue
-		}
-		if h.rings != nil {
-			// Ring mode waits on the context only, like the channel select
-			// below: the worker keeps consuming (or count-draining) its rings
-			// until they are closed, and closing them requires this handle's
-			// mutex, so the push always lands unless the deadline fires.
-			if !h.ringPushCtx(ctx, i, b, false) {
-				h.s.dropBatch(i, len(b), &h.s.drops.timeout)
-				h.s.putBatch(b)
-				err = ctx.Err()
-			}
-			continue
-		}
-		select {
-		case h.s.queues[i] <- b:
-		case <-ctx.Done():
-			h.s.dropBatch(i, len(b), &h.s.drops.timeout)
-			h.s.putBatch(b)
+		} else if !h.pushWait(ctx, i, b, false) {
 			err = ctx.Err()
 		}
 	}
 	return err
 }
 
-// dispatch hands one batch to shard i's worker, applying the overflow
-// policy. Called with h.mu held, which is what makes it safe against Close:
-// Close cannot finish draining this handle (and therefore cannot close the
-// queues or this handle's rings) until h.mu is released, so the send always
-// lands on an open channel or ring.
-//
-// In ring mode that handle-mutex ordering is the whole story — pushes and the
-// eventual ring Close both happen under h.mu — so the hot path skips the
-// channel mode's global sendWG registration (a shared-lock acquisition per
-// batch). In channel mode the sendWG additionally orders the send against
-// Close for any future caller that dispatches outside a drain-visible lock.
+// enqueue hands one full batch to shard i's worker through the handle's
+// ring, applying the overflow policy. Hook suppression and policy drops are
+// counted; a blocking push can be cut short only by the shutdown abort
+// latch, in which case the batch counts as a timeout drop. Called with h.mu
+// held, which is what makes it safe against Close: Close cannot drain this
+// handle (and therefore cannot close its rings) until h.mu is released, so
+// the push always lands on an open ring.
 //
 //caesar:hotpath hands off one full batch per BatchSize packets
-func (h *Ingester) dispatch(i int, b shardBatch) {
+func (h *Ingester) enqueue(i int, b shardBatch) {
 	s := h.s
-	if h.rings != nil {
-		s.enqueue(h, i, b)
-		return
-	}
-	s.mu.Lock()
-	s.sendWG.Add(1)
-	s.mu.Unlock()
-	s.enqueue(h, i, b)
-	s.sendWG.Done()
-}
-
-// enqueue offers one batch to shard i's queue or ring under the overflow
-// policy. Hook suppression and policy drops are counted; a blocking send can
-// be cut short only by the shutdown abort latch, in which case the batch
-// counts as a timeout drop.
-func (s *Sharded) enqueue(h *Ingester, i int, b shardBatch) {
 	if hook := s.opts.Hooks.BeforeEnqueue; hook != nil && !hook(i, len(b)) {
 		s.dropBatch(i, len(b), &s.drops.injected)
 		s.putBatch(b)
 		return
 	}
-	if h.rings != nil {
-		s.enqueueRing(h, i, b)
-		return
-	}
-	switch s.opts.OverflowPolicy {
-	case Drop:
-		select {
-		case s.queues[i] <- b:
-		default:
-			s.dropBatch(i, len(b), &s.drops.overflow)
-			s.putBatch(b)
-		}
-	case Sample:
-		select {
-		case s.queues[i] <- b:
-			return
-		default:
-		}
-		s.blockingSend(i, s.thinBatch(i, b))
-	default: // Block
-		s.blockingSend(i, b)
-	}
-}
-
-// enqueueRing is enqueue's ring-mode policy arm: same policies, same ledger,
-// with the channel try-send replaced by a ring TryPush and the blocking send
-// by the spin-then-sleep blockingPush.
-func (s *Sharded) enqueueRing(h *Ingester, i int, b shardBatch) {
 	switch s.opts.OverflowPolicy {
 	case Drop:
 		if !h.tryPush(i, b) {
@@ -998,12 +794,11 @@ func (s *Sharded) enqueueRing(h *Ingester, i int, b shardBatch) {
 			s.putBatch(b)
 		}
 	case Sample:
-		if h.tryPush(i, b) {
-			return
+		if !h.tryPush(i, b) {
+			h.pushWait(context.Background(), i, s.thinBatch(i, b), true)
 		}
-		h.blockingPush(i, s.thinBatch(i, b))
 	default: // Block
-		h.blockingPush(i, b)
+		h.pushWait(context.Background(), i, b, true)
 	}
 }
 
@@ -1022,22 +817,11 @@ func (s *Sharded) thinBatch(i int, b shardBatch) shardBatch {
 	return kept
 }
 
-// blockingSend delivers a batch with backpressure; only the shutdown abort
-// latch can cut it short, counting the batch as timed-out drops.
-func (s *Sharded) blockingSend(i int, b shardBatch) {
-	select {
-	case s.queues[i] <- b:
-	case <-s.abort:
-		s.dropBatch(i, len(b), &s.drops.timeout)
-		s.putBatch(b)
-	}
-}
-
 // drain marks the handle closed and pushes its buffered packets to the
-// shard workers, waiting for queue space (shutdown wants maximum fidelity,
-// so the overflow policy does not apply here). The pushes give up when ctx
-// expires or the abort latch trips, counting the remaining buffers as
-// timed-out drops. Called only by the Close path, before the queues close;
+// shard workers, waiting for ring space (shutdown wants maximum fidelity,
+// so neither the overflow policy nor the BeforeEnqueue hook applies here).
+// The pushes give up when ctx expires or the abort latch trips, counting
+// the remaining buffers as timed-out drops. Called only by the Close path;
 // reports whether any buffer was dropped on the deadline.
 func (h *Ingester) drain(ctx context.Context) bool {
 	h.mu.Lock()
@@ -1048,27 +832,13 @@ func (h *Ingester) drain(ctx context.Context) bool {
 	h.closed = true
 	hit := false
 	for i, b := range h.batches {
-		if len(b) > 0 {
-			switch {
-			case hit:
-				// The deadline already fired: count without re-waiting.
-				h.s.dropBatch(i, len(b), &h.s.drops.timeout)
-			case h.rings != nil:
-				if !h.ringPushCtx(ctx, i, b, true) {
-					h.s.dropBatch(i, len(b), &h.s.drops.timeout)
-					hit = true
-				}
-			default:
-				select {
-				case h.s.queues[i] <- b:
-				case <-ctx.Done():
-					h.s.dropBatch(i, len(b), &h.s.drops.timeout)
-					hit = true
-				case <-h.s.abort:
-					h.s.dropBatch(i, len(b), &h.s.drops.timeout)
-					hit = true
-				}
-			}
+		switch {
+		case len(b) == 0:
+		case hit:
+			// The deadline already fired: count without re-waiting.
+			h.s.dropBatch(i, len(b), &h.s.drops.timeout)
+		default:
+			hit = !h.pushWait(ctx, i, b, true)
 		}
 		h.batches[i] = nil
 	}
@@ -1081,9 +851,8 @@ func (h *Ingester) drain(ctx context.Context) bool {
 	return hit
 }
 
-// Close drains every registered Ingester handle (the Observe compatibility
-// handle included), stops the workers, and flushes every shard's cache to
-// its counters. Idempotent. Close never gives up on queued work: with the
+// Close drains every registered Ingester handle, stops the workers, and
+// flushes every shard's cache to its counters. Idempotent. Close never gives up on queued work: with the
 // Block policy it waits for stalled consumers indefinitely — use
 // CloseContext to bound shutdown.
 func (s *Sharded) Close() {
@@ -1093,7 +862,7 @@ func (s *Sharded) Close() {
 }
 
 // CloseContext is Close with a deadline. When ctx expires before the drain
-// completes, the abort latch trips: blocked senders give up, workers
+// completes, the abort latch trips: blocked producers give up, workers
 // discard still-queued batches, and every abandoned packet is counted in
 // Stats.DroppedTimeout — so a stalled consumer cannot hang shutdown, and
 // nothing is silently lost. A worker wedged mid-batch (a goroutine cannot
@@ -1121,9 +890,9 @@ func (s *Sharded) closeWith(ctx context.Context) error {
 	if ctx.Done() != nil {
 		// Watchdog: trip the abort latch the moment the deadline fires, for
 		// the whole duration of the close. This is what keeps the handle
-		// drains below deadlock-free — a producer blocked inside dispatch
-		// holds its handle mutex while waiting for queue space, so the drain
-		// cannot take that mutex until the abort releases the blocked send.
+		// drains below deadlock-free — a producer blocked inside enqueue
+		// holds its handle mutex while waiting for ring space, so the drain
+		// cannot take that mutex until the abort releases the blocked push.
 		watchDone := make(chan struct{})
 		defer close(watchDone)
 		go func() {
@@ -1136,23 +905,12 @@ func (s *Sharded) closeWith(ctx context.Context) error {
 	}
 	timedOut := false
 	// Drain the handles: each drain takes the handle mutex, so it serializes
-	// after any in-flight Observe/dispatch on that handle, and marks the
-	// handle closed so later observers get the documented counted no-op.
+	// after any in-flight ingest call on that handle, and marks the handle
+	// closed so later observers get the documented counted no-op.
 	for _, h := range handles {
 		if h.drain(ctx) {
 			timedOut = true
 		}
-	}
-	// Belt and braces: wait for any sends registered outside a handle drain
-	// before closing the queues (see Ingester.dispatch). This wait is never
-	// abandoned — a live sender racing a closed queue would panic — but the
-	// abort guarantees it is short.
-	if !s.waitFull(ctx, &s.sendWG) {
-		timedOut = true
-	}
-	for _, q := range s.queues {
-		//caesar:ignore atomicdiscipline closeWith runs once (guarded by the closed flag under mu) and waits on sendWG above, so no sender can race these closes
-		close(q)
 	}
 	for _, rs := range s.ringShards {
 		// Trip the per-shard closing latch: every handle has been drained (and
@@ -1199,34 +957,6 @@ func (s *Sharded) workerDone(i int) bool {
 	case <-s.workerExited[i]:
 		return true
 	default:
-		return false
-	}
-}
-
-// waitFull waits for wg to completion, tripping the abort latch when ctx
-// expires so blocked senders fall out of their queue sends and the wait
-// finishes promptly. Used for sendWG, which must be fully drained before the
-// queues close (an abandoned sender could panic on a closed channel); a
-// registered sender can only ever block on a select that includes the abort,
-// so the post-abort wait is bounded. Reports whether the wait finished
-// before the deadline.
-func (s *Sharded) waitFull(ctx context.Context, wg *sync.WaitGroup) bool {
-	if ctx.Done() == nil {
-		// Plain Close: nothing can expire, skip the watcher goroutine.
-		wg.Wait()
-		return true
-	}
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return true
-	case <-ctx.Done():
-		s.triggerAbort()
-		<-done
 		return false
 	}
 }
@@ -1285,7 +1015,7 @@ func (s *Sharded) NumPackets() uint64 {
 
 // DroppedPackets returns the total packets counted as dropped across all
 // causes (see the Stats Dropped* fields for the partition).
-func (s *Sharded) DroppedPackets() uint64 { return s.drops.packets() }
+func (s *Sharded) DroppedPackets() uint64 { return s.ledgerStats().dropped() }
 
 // ShardDropped returns the dropped-packet count attributed to one shard.
 func (s *Sharded) ShardDropped(i int) uint64 {
@@ -1295,47 +1025,31 @@ func (s *Sharded) ShardDropped(i int) uint64 {
 	return s.shardDropped[i].Load()
 }
 
-// effectiveLossRate returns dropped / (delivered + dropped), the ingest
-// path's analogue of the paper's RCS loss rate.
+// effectiveLossRate is Stats().EffectiveLossRate without the per-shard
+// cache statistics.
 func (s *Sharded) effectiveLossRate() float64 {
-	dropped := float64(s.drops.packets())
-	if dropped <= 0 {
+	return lossRate(s.DroppedPackets(), s.NumPackets())
+}
+
+// lossRate returns dropped / (dropped + applied), the ingest path's
+// analogue of the paper's RCS loss rate ρ; 0 for a lossless run.
+func lossRate(dropped, applied uint64) float64 {
+	if dropped == 0 {
 		return 0
 	}
-	return dropped / (dropped + float64(s.NumPackets()))
+	return float64(dropped) / (float64(dropped) + float64(applied))
 }
 
 // Stats aggregates the shards' observability counters and the loss ledger.
 func (s *Sharded) Stats() Stats {
-	var agg Stats
+	agg := s.ledgerStats()
 	for _, sk := range s.shards {
-		st := sk.Stats()
-		agg.Packets += st.Packets
-		agg.CacheHits += st.CacheHits
-		agg.CacheMisses += st.CacheMisses
-		agg.OverflowEvictions += st.OverflowEvictions
-		agg.PressureEvictions += st.PressureEvictions
-		agg.FlushEvictions += st.FlushEvictions
-		agg.SRAMWrites += st.SRAMWrites
-		agg.CacheKB += st.CacheKB
-		agg.SRAMKB += st.SRAMKB
+		accumulateStats(&agg, sk.Stats())
 	}
-	agg.DroppedOverflow = s.drops.overflow.Load()
-	agg.DroppedSampled = s.drops.sampled.Load()
-	agg.DroppedQuarantine = s.drops.quarantine.Load()
-	agg.DroppedTimeout = s.drops.timeout.Load()
-	agg.DroppedAfterClose = s.drops.afterClose.Load()
-	agg.DroppedInjected = s.drops.injected.Load()
-	agg.DroppedPackets = agg.DroppedOverflow + agg.DroppedSampled +
-		agg.DroppedQuarantine + agg.DroppedTimeout + agg.DroppedAfterClose +
-		agg.DroppedInjected
-	agg.DroppedBatches = s.drops.batches.Load()
 	agg.QuarantinedShards = s.quarantinedShards()
 	agg.Health = s.Health()
-	if agg.DroppedPackets > 0 {
-		agg.EffectiveLossRate = float64(agg.DroppedPackets) /
-			(float64(agg.DroppedPackets) + float64(agg.Packets))
-	}
+	agg.DroppedPackets = agg.dropped()
+	agg.EffectiveLossRate = lossRate(agg.DroppedPackets, uint64(agg.Packets))
 	return agg
 }
 

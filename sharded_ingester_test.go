@@ -29,39 +29,6 @@ func shardedSnapshot(t *testing.T, s *Sharded) []byte {
 	return buf.Bytes()
 }
 
-// TestIngesterEquivalence feeds the same trace through the legacy Observe
-// wrapper and through a dedicated Ingester handle and requires byte-identical
-// snapshots: per-shard packet order is preserved regardless of which handle
-// buffered the packets, so the two paths must be indistinguishable to the
-// sketch state.
-func TestIngesterEquivalence(t *testing.T) {
-	legacy, err := NewSharded(4, ingesterTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	handle, err := NewSharded(4, ingesterTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := handle.Ingester()
-
-	rng := hashing.NewPRNG(3)
-	for i := 0; i < 50000; i++ {
-		f := FlowID(rng.Intn(2000))
-		legacy.Observe(f)
-		h.Observe(f)
-	}
-	legacy.Close()
-	handle.Close()
-
-	if got, want := handle.NumPackets(), legacy.NumPackets(); got != want {
-		t.Fatalf("NumPackets: ingester %d vs legacy %d", got, want)
-	}
-	if !bytes.Equal(shardedSnapshot(t, legacy), shardedSnapshot(t, handle)) {
-		t.Fatal("ingester-fed snapshot differs from legacy Observe snapshot")
-	}
-}
-
 // TestIngesterBatchSizeInvariance runs one trace under several batch sizes
 // (including the degenerate size 1, which dispatches every packet) and via
 // ObserveBatch, requiring identical snapshots: batching must only change

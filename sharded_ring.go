@@ -10,7 +10,7 @@ import (
 	"github.com/caesar-sketch/caesar/internal/spsc"
 )
 
-// Ring-mode tuning. The producer constants govern what a full ring costs a
+// Ring tuning. The producer constants govern what a full ring costs a
 // blocked producer; the worker constant governs how long an idle worker spins
 // before parking on its wake channel.
 const (
@@ -128,20 +128,22 @@ func (h *Ingester) tryPush(i int, b shardBatch) bool {
 	return true
 }
 
-// blockingPush delivers a batch with backpressure, the ring-mode analogue of
-// blockingSend: only the shutdown abort latch can cut it short, counting the
-// batch as timed-out drops. The wait spins briefly (the common stall is the
-// worker finishing one batch), then backs off to sleeps.
-func (h *Ingester) blockingPush(i int, b shardBatch) {
+// pushWait delivers a batch with backpressure: it offers b to shard i's
+// ring until the push lands, ctx expires, or — when abortCuts is set — the
+// shutdown abort latch trips, in which case the batch is counted as a
+// timed-out drop. The wait spins briefly (the common stall is the worker
+// finishing one batch), then backs off to sleeps. Reports whether the push
+// landed. Producer-side: caller holds h.mu.
+func (h *Ingester) pushWait(ctx context.Context, i int, b shardBatch, abortCuts bool) bool {
 	s := h.s
 	for spins := 0; ; {
 		if h.tryPush(i, b) {
-			return
+			return true
 		}
-		if s.aborted() {
+		if ctx.Err() != nil || (abortCuts && s.aborted()) {
 			s.dropBatch(i, len(b), &s.drops.timeout)
 			s.putBatch(b)
-			return
+			return false
 		}
 		if spins < ringPushSpins {
 			spins++
@@ -157,35 +159,14 @@ func (h *Ingester) blockingPush(i int, b shardBatch) {
 	}
 }
 
-// ringPushCtx offers a batch until ctx expires — and, when abortCuts is set,
-// until the shutdown abort latch trips. Reports whether the push landed. The
-// drain path sets abortCuts (mirroring the channel drain's select on abort);
-// FlushContext does not (mirroring its select, which waits on ctx alone).
-func (h *Ingester) ringPushCtx(ctx context.Context, i int, b shardBatch, abortCuts bool) bool {
-	s := h.s
-	for spins := 0; ; {
-		if h.tryPush(i, b) {
-			return true
-		}
-		if ctx.Err() != nil || (abortCuts && s.aborted()) {
-			return false
-		}
-		if spins < ringPushSpins {
-			spins++
-			runtime.Gosched()
-		} else {
-			s.ringShards[i].wakeWorker()
-			time.Sleep(ringPushSleep)
-		}
-	}
-}
-
-// ringWorker consumes shard i's ring set, the ring-mode analogue of worker:
-// same recover/quarantine machinery (via applyBatch), same abort accounting,
-// same exit guarantee — it returns only after the closing latch has tripped
-// and every ring it has ever been shown is closed and empty, so closeWith's
-// wait observes all work either applied or counted.
-func (s *Sharded) ringWorker(i int) {
+// worker consumes shard i's ring set. A batch is applied under recover
+// (applyBatch): a panicking shard is quarantined and the worker degrades
+// into a counting drain, so producers blocked on its rings (and Close) never
+// hang on a dead consumer and every abandoned packet is accounted. It
+// returns only after the closing latch has tripped and every ring it has
+// ever been shown is closed and empty, so closeWith's wait observes all
+// work either applied or counted.
+func (s *Sharded) worker(i int) {
 	defer s.wg.Done()
 	//caesar:ignore atomicdiscipline worker i is the sole closer of its own exit latch; no other goroutine ever closes or sends on workerExited[i]
 	defer close(s.workerExited[i])
@@ -213,7 +194,7 @@ func (s *Sharded) ringWorker(i int) {
 			switch {
 			case quarantined:
 				// This shard's sketch panicked: degrade into a counting
-				// drain, exactly like the channel worker's post-panic loop.
+				// drain.
 				s.dropBatch(i, len(b), &s.drops.quarantine)
 				s.putBatch(b)
 			case s.aborted():

@@ -1,12 +1,14 @@
 package caesar
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
 	"github.com/caesar-sketch/caesar/internal/faultinject"
+	"github.com/caesar-sketch/caesar/internal/hashing"
 )
 
 // ringTestConfig is a small-budget config that still exercises cache
@@ -15,20 +17,31 @@ func ringTestConfig() Config {
 	return Config{Counters: 1 << 12, CacheEntries: 1 << 8, CacheCapacity: 32, Seed: 42}
 }
 
-// runQueueKind drives one Sharded of the given queue kind through a fixed
-// deterministic workload — single producer, Block policy, a seeded
-// DropBatches injector and a PanicWorker injector — and returns the closed
-// sketch. With one producer and the lossless Block policy, batches reach each
-// shard in the same order under both queue kinds, the injector's PRNG draws
-// happen in the same producer-side order, and the panic lands on the same
-// n-th batch of the same shard: the two kinds must therefore produce
-// bit-identical state.
-func runQueueKind(t *testing.T, kind QueueKind, flows []FlowID) *Sharded {
-	t.Helper()
+// TestShardedMatchesSequentialOracle pins the concurrent ingest plane —
+// block routing, per-shard buffers, the SPSC ring hand-off, the shard
+// workers, the Close drain — to a sequential model with no concurrency at
+// all. One producer feeds a Sharded under the lossless Block policy with a
+// seeded DropBatches injector and a PanicWorker injector. The oracle routes
+// and batches the same flows in producer order, draws from a second
+// injector with the same seed in the same order, and applies the kept
+// batches to plain per-shard Sketches built like NewShardedOptions builds
+// its shards. Every shard's serialized state must match its oracle byte for
+// byte, and the loss ledger and health must match exactly.
+func TestShardedMatchesSequentialOracle(t *testing.T) {
+	const (
+		nShards = 4
+		batch   = 64
+	)
+	cfg := ringTestConfig()
+	rng := rand.New(rand.NewSource(2024))
+	flows := make([]FlowID, 120_000)
+	for i := range flows {
+		flows[i] = FlowID(rng.Intn(5000))
+	}
+
 	inj := faultinject.New(0xfeed)
-	s, err := NewShardedOptions(4, ringTestConfig(), ShardedOptions{
-		Queue:     kind,
-		BatchSize: 64,
+	s, err := NewShardedOptions(nShards, cfg, ShardedOptions{
+		BatchSize: batch,
 		Hooks: ShardedHooks{
 			BeforeEnqueue: inj.DropBatches(0.05),
 			OnWorkerBatch: inj.PanicWorker(2, 7),
@@ -39,88 +52,120 @@ func runQueueKind(t *testing.T, kind QueueKind, flows []FlowID) *Sharded {
 	}
 	h := s.Ingester()
 	for start := 0; start < len(flows); start += 100 {
-		end := start + 100
-		if end > len(flows) {
-			end = len(flows)
-		}
-		h.ObserveBatch(flows[start:end])
+		h.ObserveBatch(flows[start:min(start+100, len(flows))])
 	}
 	s.Close()
-	return s
-}
 
-// TestRingChannelEquivalence pins the tentpole contract: the SPSC-ring
-// hand-off is an implementation swap, not a semantic change. Under a
-// deterministic workload with injected faults, ring and channel modes must
-// agree on the packet count, on every field of the drop ledger, on the
-// quarantine state, and on the estimate of every flow — bit-identical, not
-// approximately.
-func TestRingChannelEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(2024))
-	flows := make([]FlowID, 120_000)
-	for i := range flows {
-		flows[i] = FlowID(rng.Intn(5000))
-	}
-
-	ring := runQueueKind(t, QueueRing, flows)
-	channel := runQueueKind(t, QueueChannel, flows)
-
-	if rn, cn := ring.NumPackets(), channel.NumPackets(); rn != cn {
-		t.Fatalf("NumPackets: ring %d, channel %d", rn, cn)
-	}
-	rs, cs := ring.Stats(), channel.Stats()
-	ledger := []struct {
-		name       string
-		ring, chev uint64
-	}{
-		{"DroppedOverflow", rs.DroppedOverflow, cs.DroppedOverflow},
-		{"DroppedSampled", rs.DroppedSampled, cs.DroppedSampled},
-		{"DroppedQuarantine", rs.DroppedQuarantine, cs.DroppedQuarantine},
-		{"DroppedTimeout", rs.DroppedTimeout, cs.DroppedTimeout},
-		{"DroppedAfterClose", rs.DroppedAfterClose, cs.DroppedAfterClose},
-		{"DroppedInjected", rs.DroppedInjected, cs.DroppedInjected},
-		{"DroppedPackets", rs.DroppedPackets, cs.DroppedPackets},
-		{"DroppedBatches", rs.DroppedBatches, cs.DroppedBatches},
-		{"Packets", uint64(rs.Packets), uint64(cs.Packets)},
-	}
-	for _, f := range ledger {
-		if f.ring != f.chev {
-			t.Errorf("Stats.%s: ring %d, channel %d", f.name, f.ring, f.chev)
+	// The oracle's shards: the same budget split and per-shard seeds as
+	// NewShardedOptions.
+	oracle := make([]*Sketch, nShards)
+	for i := range oracle {
+		per := cfg
+		per.Counters = cfg.Counters / nShards
+		if i < cfg.Counters%nShards {
+			per.Counters++
+		}
+		per.CacheEntries = cfg.CacheEntries / nShards
+		if i < cfg.CacheEntries%nShards {
+			per.CacheEntries++
+		}
+		per.Seed = cfg.Seed + uint64(i)*0x9e3779b97f4a7c15
+		if oracle[i], err = New(per); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if rs.QuarantinedShards != cs.QuarantinedShards || rs.Health != cs.Health {
-		t.Errorf("health: ring %d/%v, channel %d/%v",
-			rs.QuarantinedShards, rs.Health, cs.QuarantinedShards, cs.Health)
+	oinj := faultinject.New(0xfeed)
+	keep, panicAt := oinj.DropBatches(0.05), oinj.PanicWorker(2, 7)
+	var injected, quarantine, batches uint64
+	shardDropped := make([]uint64, nShards)
+	down := make([]bool, nShards)
+	workerPanics := func(i, n int) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		panicAt(i, n)
+		return false
 	}
-
-	// The ledger invariant must hold exactly in both modes.
-	observed := uint64(len(flows))
-	if got := ring.NumPackets() + ring.DroppedPackets(); got != observed {
-		t.Errorf("ring ledger: applied+dropped = %d, observed %d", got, observed)
-	}
-	if got := channel.NumPackets() + channel.DroppedPackets(); got != observed {
-		t.Errorf("channel ledger: applied+dropped = %d, observed %d", got, observed)
-	}
-
-	re, err := ring.Estimator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ce, err := channel.Estimator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for f := FlowID(0); f < 5000; f++ {
-		if rc, cc := re.Covered(f), ce.Covered(f); rc != cc {
-			t.Fatalf("flow %d: Covered ring %v, channel %v", f, rc, cc)
+	apply := func(i int, b []FlowID) {
+		if !down[i] && workerPanics(i, len(b)) {
+			down[i] = true
 		}
-		if !re.Covered(f) {
+		if down[i] {
+			quarantine += uint64(len(b))
+			shardDropped[i] += uint64(len(b))
+			batches++
+			return
+		}
+		oracle[i].ObserveBatch(b)
+	}
+	bufs := make([][]FlowID, nShards)
+	for _, f := range flows {
+		i := int(hashing.MixWithSeed(uint64(f), shardRouteSeed) % nShards)
+		bufs[i] = append(bufs[i], f)
+		if len(bufs[i]) < batch {
 			continue
 		}
-		rv, cv := re.Estimate(f, CSM), ce.Estimate(f, CSM)
-		if rv != cv { // bit-identical, no tolerance
-			t.Fatalf("flow %d: estimate ring %v, channel %v", f, rv, cv)
+		if keep(i, batch) {
+			apply(i, bufs[i])
+		} else {
+			injected += batch
+			shardDropped[i] += batch
+			batches++
 		}
+		bufs[i] = nil
+	}
+	// Close drains the partial buffers without the BeforeEnqueue hook, then
+	// flushes every shard's cache.
+	for i, b := range bufs {
+		if len(b) > 0 {
+			apply(i, b)
+		}
+	}
+	quarantined := 0
+	for i, sk := range oracle {
+		sk.Flush()
+		if down[i] {
+			quarantined++
+		}
+	}
+
+	if quarantined != 1 || inj.Panics() != 1 {
+		t.Fatalf("oracle quarantined %d shards, injector threw %d panics; want 1 and 1", quarantined, inj.Panics())
+	}
+	for i := range oracle {
+		var got, want bytes.Buffer
+		if _, err := s.shards[i].WriteTo(&got); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := oracle[i].WriteTo(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("shard %d: state differs from the sequential oracle", i)
+		}
+		if got := s.ShardDropped(i); got != shardDropped[i] {
+			t.Errorf("ShardDropped(%d) = %d, oracle %d", i, got, shardDropped[i])
+		}
+	}
+	st := s.Stats()
+	ledger := []struct {
+		name      string
+		got, want uint64
+	}{
+		{"DroppedInjected", st.DroppedInjected, injected},
+		{"DroppedQuarantine", st.DroppedQuarantine, quarantine},
+		{"DroppedBatches", st.DroppedBatches, batches},
+		{"DroppedPackets", st.DroppedPackets, injected + quarantine},
+		{"injector DroppedBatches", inj.DroppedBatches(), oinj.DroppedBatches()},
+	}
+	for _, f := range ledger {
+		if f.got != f.want {
+			t.Errorf("%s = %d, oracle %d", f.name, f.got, f.want)
+		}
+	}
+	if st.Health != Degraded || st.QuarantinedShards != quarantined {
+		t.Errorf("health %v with %d quarantined shards, oracle Degraded with %d", st.Health, st.QuarantinedShards, quarantined)
+	}
+	if got := s.NumPackets() + s.DroppedPackets(); got != uint64(len(flows)) {
+		t.Errorf("ledger: applied+dropped = %d, observed %d", got, len(flows))
 	}
 }
 
@@ -213,7 +258,8 @@ func TestRingObserveCloseRace(t *testing.T) {
 // allocations per packet: batch buffers recycle through the pool and the
 // block router reuses its scratch, so the only allowed allocations are the
 // rare pool refills after a GC (hence the 0.01 packets/alloc tolerance
-// rather than exactly zero).
+// rather than exactly zero). The scalar entry points wrap their argument in
+// a one-element slice, which must stay on the stack.
 func TestIngestZeroAllocs(t *testing.T) {
 	s, err := NewShardedOptions(4, ringTestConfig(), ShardedOptions{})
 	if err != nil {
@@ -224,18 +270,29 @@ func TestIngestZeroAllocs(t *testing.T) {
 	for i := range flows {
 		flows[i] = FlowID(i * 7919)
 	}
-	// Warm up: fault in the pool, the route scratch, and every ring slot.
+	tuples := flowHashTuples(512)
+	// Warm up: fault in the pool, the route and hash scratch, and every ring
+	// slot.
 	for i := 0; i < 64; i++ {
 		h.ObserveBatch(flows)
+		h.ObservePackets(tuples)
 	}
 	const rounds = 2000
-	allocs := testing.AllocsPerRun(rounds, func() {
-		h.ObserveBatch(flows)
-	})
-	perPacket := allocs / float64(len(flows))
-	if perPacket > 0.01 {
-		t.Fatalf("ingest allocates %.4f allocs/packet (%.1f/batch), want < 0.01",
-			perPacket, allocs)
+	n := 0
+	for _, tc := range []struct {
+		name    string
+		packets int
+		observe func()
+	}{
+		{"ObserveBatch", len(flows), func() { h.ObserveBatch(flows) }},
+		{"Observe", 1, func() { h.Observe(flows[n%len(flows)]); n++ }},
+		{"ObservePacket", 1, func() { h.ObservePacket(tuples[n%len(tuples)]); n++ }},
+	} {
+		allocs := testing.AllocsPerRun(rounds, tc.observe)
+		if perPacket := allocs / float64(tc.packets); perPacket > 0.01 {
+			t.Errorf("%s allocates %.4f allocs/packet (%.1f/call), want < 0.01",
+				tc.name, perPacket, allocs)
+		}
 	}
 	s.Close()
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // TestShardedObserveCloseRace hammers the mu-guarded routing buffers:
-// many goroutines call Observe in a tight loop while the main goroutine
-// calls Close mid-stream. Under `go test -race` this fails if any access to
+// many goroutines call Observe on one shared handle in a tight loop while
+// the main goroutine calls Close mid-stream. Under `go test -race` this fails if any access to
 // the handle's batches or closed flag loses its lock (remove a mu.Lock()
 // from Observe or Close to see it fire). It also proves the documented
 // Observe-after-Close contract: late observers become counted no-ops, and
@@ -35,13 +35,14 @@ func TestShardedObserveCloseRace(t *testing.T) {
 		wg    sync.WaitGroup
 		start = make(chan struct{})
 	)
+	h := s.Ingester()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			<-start
 			for i := 0; !stop.Load(); i++ {
-				s.Observe(FlowID(uint64(w)<<32 | uint64(i%509)))
+				h.Observe(FlowID(uint64(w)<<32 | uint64(i%509)))
 				sent.Add(1)
 			}
 		}(w)

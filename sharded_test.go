@@ -24,8 +24,9 @@ func TestShardedBasic(t *testing.T) {
 		t.Fatalf("NumShards = %d", s.NumShards())
 	}
 	const x = 2000
+	h := s.Ingester()
 	for i := 0; i < x; i++ {
-		s.Observe(77)
+		h.Observe(77)
 	}
 	s.Close()
 	if s.NumPackets() != x {
@@ -75,13 +76,16 @@ func TestShardedConcurrentIngest(t *testing.T) {
 		perWriter = 5000
 		flows     = 200
 	)
+	// The writers share one handle, the way caesar-serve's concurrent
+	// POST /observe handlers do.
+	h := s.Ingester()
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				s.Observe(FlowID((w*perWriter + i) % flows))
+				h.Observe(FlowID((w*perWriter + i) % flows))
 			}
 		}(w)
 	}
@@ -149,7 +153,8 @@ func TestShardedCloseIdempotentAndGates(t *testing.T) {
 	if _, err := s.Estimator(); err == nil {
 		t.Fatal("Estimator before Close accepted")
 	}
-	s.Observe(1)
+	h := s.Ingester()
+	h.Observe(1)
 	s.Close()
 	s.Close() // idempotent
 	if _, err := s.Estimator(); err != nil {
@@ -157,8 +162,8 @@ func TestShardedCloseIdempotentAndGates(t *testing.T) {
 	}
 	// Observe after Close is the documented counted no-op: the packet is
 	// discarded, accounted in DroppedAfterClose, and the sketch is untouched.
-	s.Observe(2)
-	s.ObserveBatch([]FlowID{3, 4, 5})
+	h.Observe(2)
+	h.ObserveBatch([]FlowID{3, 4, 5})
 	if got := s.NumPackets(); got != 1 {
 		t.Fatalf("NumPackets after post-Close observes = %d, want 1", got)
 	}
@@ -176,8 +181,9 @@ func TestShardedStatsAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := s.Ingester()
 	for i := 0; i < 10000; i++ {
-		s.Observe(FlowID(i % 500))
+		h.Observe(FlowID(i % 500))
 	}
 	s.Close()
 	st := s.Stats()
@@ -203,8 +209,9 @@ func TestShardedMatchesSingleSketchPerFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	const flows = 100
+	h := s.Ingester()
 	for i := 0; i < 30000; i++ {
-		s.Observe(FlowID(i % flows))
+		h.Observe(FlowID(i % flows))
 	}
 	s.Close()
 	est, err := s.Estimator()
@@ -231,8 +238,9 @@ func TestShardedSetDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := s.Ingester()
 	for i := 0; i < 20000; i++ {
-		s.Observe(FlowID(i % 300))
+		h.Observe(FlowID(i % 300))
 	}
 	s.Close()
 	est, err := s.Estimator()
@@ -253,11 +261,12 @@ func BenchmarkShardedObserve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	h := s.Ingester()
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			s.Observe(FlowID(i & 8191))
+			h.Observe(FlowID(i & 8191))
 			i++
 		}
 	})

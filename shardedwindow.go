@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"github.com/caesar-sketch/caesar/internal/epoch"
-	"github.com/caesar-sketch/caesar/internal/hashing"
 	"github.com/caesar-sketch/caesar/internal/stats"
 )
 
@@ -62,12 +60,13 @@ type ShardedWindow struct {
 	nshards int
 	opts    ShardedOptions
 
-	// hasher derives fast flow IDs for the tuple ingest paths when
-	// opts.FlowHash == FlowHashFast. It is keyed from the *base* cfg.Seed,
-	// not the per-epoch strided seeds, so a flow keeps one ID for the life
-	// of the window — windowed estimates sum the same FlowID across sealed
-	// epochs, which only works if rotation never re-keys the tuple hash.
-	hasher hashing.FlowIDer
+	// ids derives flow IDs for the tuple ingest paths under opts.FlowHash.
+	// It is keyed from the *base* cfg.Seed, not the per-epoch strided
+	// seeds, and every epoch's shard set is built with it, so a flow keeps
+	// one ID for the life of the window — windowed estimates sum the same
+	// FlowID across sealed epochs, which only works if rotation never
+	// re-keys the tuple hash.
+	ids tupleHasher
 
 	// mu serializes lifecycle transitions: Rotate, Close, and handle
 	// minting. The packet path never takes it.
@@ -92,9 +91,6 @@ type ShardedWindow struct {
 	queryMu      sync.Mutex
 	epochScratch []*windowEpoch
 	sumScratch   []float64
-
-	// legacy backs the Observe compatibility wrappers.
-	legacy *WindowIngester
 }
 
 // windowEpoch is one sealed epoch: the closed shard set (which owns the
@@ -120,7 +116,7 @@ func NewShardedWindowOptions(epochs, nshards int, cfg Config, opts ShardedOption
 	if epochs < 1 {
 		return nil, fmt.Errorf("caesar: sharded window needs >= 1 epoch, got %d", epochs)
 	}
-	w := &ShardedWindow{cfg: cfg, nshards: nshards, opts: opts, hasher: hashing.NewFlowIDer(cfg.Seed)}
+	w := &ShardedWindow{cfg: cfg, nshards: nshards, opts: opts, ids: newTupleHasher(opts.FlowHash, cfg.Seed)}
 	first, err := w.newEpochSharded(0)
 	if err != nil {
 		return nil, err
@@ -132,7 +128,6 @@ func NewShardedWindowOptions(epochs, nshards int, cfg Config, opts ShardedOption
 		return nil, err
 	}
 	w.lc = lc
-	w.legacy = w.Ingester()
 	return w, nil
 }
 
@@ -148,7 +143,7 @@ func (w *ShardedWindow) newEpochSharded(rotation int) (*Sharded, error) {
 		stride = 2
 	}
 	per.Seed = epoch.Seed(w.cfg.Seed, rotation*stride)
-	return NewShardedOptions(w.nshards, per, w.opts)
+	return newSharded(w.nshards, per, w.opts, w.ids)
 }
 
 // NumShards returns the per-epoch shard count.
@@ -179,106 +174,53 @@ func (w *ShardedWindow) Ingester() *WindowIngester {
 	if w.closed {
 		panic("caesar: Ingester after Close")
 	}
-	wi := &WindowIngester{w: w, h: w.lc.Current().Ingester()}
+	wi := &WindowIngester{h: w.lc.Current().Ingester()}
 	w.handles = append(w.handles, wi)
 	return wi
 }
 
-// Observe routes one packet into the current epoch. Safe for concurrent
-// use via a shared internal handle; producers that need ingest to scale
-// should hold their own handle from Ingester.
-func (w *ShardedWindow) Observe(flow FlowID) { w.legacy.Observe(flow) }
-
-// ObserveBatch routes a batch of packets into the current epoch through
-// the shared internal handle.
-func (w *ShardedWindow) ObserveBatch(flows []FlowID) { w.legacy.ObserveBatch(flows) }
-
-// ObservePacket parses a 5-tuple and routes one packet of its flow,
-// deriving the flow ID with the window's configured FlowHash.
-func (w *ShardedWindow) ObservePacket(t FiveTuple) { w.legacy.ObservePacket(t) }
-
-// ObservePackets routes a block of raw 5-tuples into the current epoch
-// through the shared internal handle, fusing flow-ID derivation with the
-// batched ingest path (see WindowIngester.ObservePackets).
-func (w *ShardedWindow) ObservePackets(tuples []FiveTuple) { w.legacy.ObservePackets(tuples) }
-
 // HashTuple derives the flow ID the window's ingest paths would assign to
 // the tuple: the keyed fast hash when opts.FlowHash == FlowHashFast, the
-// paper-faithful SHA-1 ⊕ APHash derivation otherwise. Unlike Sharded's
-// per-epoch hashers, this mapping is fixed for the life of the window, so
+// paper-faithful SHA-1 ⊕ APHash derivation otherwise. Unlike a standalone
+// Sharded's hasher, this mapping is fixed for the life of the window, so
 // callers can hash once and query the same FlowID across rotations.
-//
-//caesar:hotpath per-packet flow-ID derivation on the windowed tuple ingest path
-func (w *ShardedWindow) HashTuple(t FiveTuple) FlowID {
-	if w.opts.FlowHash == FlowHashFast {
-		return w.hasher.ID(t)
-	}
-	return t.ID()
-}
+func (w *ShardedWindow) HashTuple(t FiveTuple) FlowID { return w.ids.id(t) }
 
 // WindowIngester is a per-producer ingest handle that follows the window
 // across rotations. It wraps the current epoch's Ingester; Rotate swaps
 // the wrapped handle under the same mutex the packet path holds, so a
-// packet is never split between epochs and a swap never loses buffered
-// packets (the old epoch's seal barrier drains them).
+// call's packets (a whole block included) are never split between epochs
+// and a swap never loses buffered packets (the old epoch's seal barrier
+// drains them).
 type WindowIngester struct {
-	w  *ShardedWindow // owning window: FlowHash option and window-stable hasher
 	mu sync.Mutex
 	h  *Ingester // current epoch's handle, guarded by mu
-	// idBuf is the ObservePackets block-hashing scratch, guarded by mu.
-	// Tuples are hashed with the *window's* hasher (not the epoch's) so a
-	// flow's ID never changes across rotations.
-	idBuf []FlowID
 }
 
 // Observe records one packet in the window's current epoch. After the
 // window closes, packets land in the final epoch's DroppedAfterClose
 // ledger — a counted no-op, exactly like Sharded's contract.
-//
-//caesar:hotpath the per-packet entry point of the live measurement service
-func (wi *WindowIngester) Observe(flow FlowID) {
-	wi.mu.Lock()
-	wi.h.Observe(flow)
-	wi.mu.Unlock()
-}
+func (wi *WindowIngester) Observe(flow FlowID) { wi.observe([]FlowID{flow}, nil) }
 
 // ObserveBatch records a batch of packets in the window's current epoch
 // under one handle lock acquisition.
-//
-//caesar:hotpath the batched entry point of the live measurement service
-func (wi *WindowIngester) ObserveBatch(flows []FlowID) {
-	wi.mu.Lock()
-	wi.h.ObserveBatch(flows)
-	wi.mu.Unlock()
-}
+func (wi *WindowIngester) ObserveBatch(flows []FlowID) { wi.observe(flows, nil) }
 
 // ObservePacket parses a 5-tuple and records one packet of its flow,
 // deriving the flow ID with the window's configured FlowHash.
-func (wi *WindowIngester) ObservePacket(t FiveTuple) { wi.Observe(wi.w.HashTuple(t)) }
+func (wi *WindowIngester) ObservePacket(t FiveTuple) { wi.observe(nil, []FiveTuple{t}) }
 
 // ObservePackets is the fused tuple-level block ingest path of the windowed
-// service: one call hashes the whole block of raw 5-tuples (with the
-// window-stable FlowHash — FlowIDer.IDBlock when fast) and hands the IDs to
-// the current epoch's batched ingest, all under a single handle lock, so a
-// block is never split across an epoch rotation.
+// service: one call hashes the whole block of raw 5-tuples with the
+// window-stable FlowHash and routes it into the current epoch.
+func (wi *WindowIngester) ObservePackets(tuples []FiveTuple) { wi.observe(nil, tuples) }
+
+// observe hands one call's packets to the current epoch's handle.
 //
-//caesar:hotpath the fused tuple-block entry point of the live measurement service
-func (wi *WindowIngester) ObservePackets(tuples []FiveTuple) {
-	if len(tuples) == 0 {
-		return
-	}
+//caesar:hotpath the ingest entry of the live measurement service
+func (wi *WindowIngester) observe(flows []FlowID, tuples []FiveTuple) {
 	wi.mu.Lock()
-	if wi.w.opts.FlowHash == FlowHashFast {
-		wi.idBuf = wi.w.hasher.IDBlock(wi.idBuf[:0], tuples)
-	} else {
-		//caesar:ignore allocfree slices.Grow is a no-op once idBuf has reached steady-state capacity
-		wi.idBuf = slices.Grow(wi.idBuf[:0], len(tuples))
-		for _, t := range tuples {
-			//caesar:ignore allocfree idBuf was pre-grown to len(tuples) just above; the append writes into reserved capacity
-			wi.idBuf = append(wi.idBuf, t.ID())
-		}
-	}
-	wi.h.ObserveBatch(wi.idBuf)
+	wi.h.observe(flows, tuples)
 	wi.mu.Unlock()
 }
 
@@ -417,11 +359,7 @@ func (w *ShardedWindow) DroppedPackets() uint64 {
 // EffectiveLossRate returns dropped / (applied + dropped) over the
 // window's lifetime — the live analogue of the paper's RCS loss rate ρ.
 func (w *ShardedWindow) EffectiveLossRate() float64 {
-	dropped := float64(w.DroppedPackets())
-	if dropped <= 0 {
-		return 0
-	}
-	return dropped / (dropped + float64(w.NumPackets()))
+	return lossRate(w.DroppedPackets(), w.NumPackets())
 }
 
 // Health reports the current epoch's worker-pool state, or the final
@@ -459,21 +397,14 @@ func (w *ShardedWindow) Stats() Stats {
 		agg.Health = last.Health()
 		agg.QuarantinedShards = last.quarantinedShards()
 	}
-	agg.DroppedPackets = agg.DroppedOverflow + agg.DroppedSampled +
-		agg.DroppedQuarantine + agg.DroppedTimeout + agg.DroppedAfterClose +
-		agg.DroppedInjected
-	if agg.DroppedPackets > 0 {
-		agg.EffectiveLossRate = float64(agg.DroppedPackets) /
-			(float64(agg.DroppedPackets) + float64(agg.Packets))
-	} else {
-		agg.EffectiveLossRate = 0
-	}
+	agg.DroppedPackets = agg.dropped()
+	agg.EffectiveLossRate = lossRate(agg.DroppedPackets, uint64(agg.Packets))
 	return agg
 }
 
-// accumulateStats adds src's additive counters into dst. Health and
-// QuarantinedShards are point-in-time states, not counters; callers set
-// them after accumulation.
+// accumulateStats adds src's additive counters into dst. DroppedPackets and
+// EffectiveLossRate are derived, and Health and QuarantinedShards are
+// point-in-time states; callers set those after accumulation.
 func accumulateStats(dst *Stats, src Stats) {
 	dst.Packets += src.Packets
 	dst.CacheHits += src.CacheHits
@@ -493,21 +424,25 @@ func accumulateStats(dst *Stats, src Stats) {
 	dst.DroppedBatches += src.DroppedBatches
 }
 
-// ledgerStats builds a Stats carrying only the atomic loss ledger — the
-// fields that are safe to read while workers are still applying batches.
+// ledgerStats builds a Stats carrying only the per-cause loss ledger — the
+// atomic counters that are safe to read while workers are still applying
+// batches.
 func (s *Sharded) ledgerStats() Stats {
-	var st Stats
-	st.DroppedOverflow = s.drops.overflow.Load()
-	st.DroppedSampled = s.drops.sampled.Load()
-	st.DroppedQuarantine = s.drops.quarantine.Load()
-	st.DroppedTimeout = s.drops.timeout.Load()
-	st.DroppedAfterClose = s.drops.afterClose.Load()
-	st.DroppedInjected = s.drops.injected.Load()
-	st.DroppedBatches = s.drops.batches.Load()
-	st.DroppedPackets = st.DroppedOverflow + st.DroppedSampled +
-		st.DroppedQuarantine + st.DroppedTimeout + st.DroppedAfterClose +
-		st.DroppedInjected
-	return st
+	return Stats{
+		DroppedOverflow:   s.drops.overflow.Load(),
+		DroppedSampled:    s.drops.sampled.Load(),
+		DroppedQuarantine: s.drops.quarantine.Load(),
+		DroppedTimeout:    s.drops.timeout.Load(),
+		DroppedAfterClose: s.drops.afterClose.Load(),
+		DroppedInjected:   s.drops.injected.Load(),
+		DroppedBatches:    s.drops.batches.Load(),
+	}
+}
+
+// dropped returns the sum of the per-cause drop counters.
+func (st Stats) dropped() uint64 {
+	return st.DroppedOverflow + st.DroppedSampled + st.DroppedQuarantine +
+		st.DroppedTimeout + st.DroppedAfterClose + st.DroppedInjected
 }
 
 // snapshotEpochs copies the sealed ring, oldest first, into the query

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"github.com/caesar-sketch/caesar/internal/epoch"
-	"github.com/caesar-sketch/caesar/internal/hashing"
 	"github.com/caesar-sketch/caesar/internal/sketch"
 )
 
@@ -163,7 +162,7 @@ func ReadShardedWindowOptions(r io.Reader, opts ShardedOptions) (*ShardedWindow,
 		cfg:            cfg,
 		nshards:        nshards,
 		opts:           opts,
-		hasher:         hashing.NewFlowIDer(cfg.Seed),
+		ids:            newTupleHasher(opts.FlowHash, cfg.Seed),
 		retiredPackets: retiredPackets,
 		retiredDropped: retiredDropped,
 		retiredStats:   retired,
@@ -178,7 +177,6 @@ func ReadShardedWindowOptions(r io.Reader, opts ShardedOptions) (*ShardedWindow,
 		return nil, err
 	}
 	w.lc = lc
-	w.legacy = w.Ingester()
 	return w, nil
 }
 

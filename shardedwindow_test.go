@@ -32,18 +32,19 @@ func TestShardedWindowSumsSealedEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := w.Ingester()
 	// Three epochs with 300 packets of flow 7 each; a fourth epoch's worth
 	// stays unsealed.
 	for e := 0; e < 3; e++ {
 		for i := 0; i < 300; i++ {
-			w.Observe(7)
+			h.Observe(7)
 		}
 		if err := w.Rotate(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 300; i++ {
-		w.Observe(7)
+		h.Observe(7)
 	}
 	if w.EpochsSealed() != 3 || w.Rotations() != 3 {
 		t.Fatalf("sealed=%d rotations=%d", w.EpochsSealed(), w.Rotations())
@@ -72,15 +73,16 @@ func TestShardedWindowSlidesOldEpochsOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := w.Ingester()
 	for i := 0; i < 400; i++ {
-		w.Observe(1)
+		h.Observe(1)
 	}
 	if err := w.Rotate(); err != nil {
 		t.Fatal(err)
 	}
 	for e := 0; e < 2; e++ {
 		for i := 0; i < 250; i++ {
-			w.Observe(2)
+			h.Observe(2)
 		}
 		if err := w.Rotate(); err != nil {
 			t.Fatal(err)
@@ -165,6 +167,7 @@ func TestShardedWindowBulkMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := w.Ingester()
 	flows := make([]FlowID, 200)
 	for i := range flows {
 		flows[i] = FlowID(i * 13)
@@ -172,7 +175,7 @@ func TestShardedWindowBulkMatchesScalar(t *testing.T) {
 	for e := 0; e < 3; e++ {
 		for rep := 0; rep < 20; rep++ {
 			for _, f := range flows {
-				w.Observe(f)
+				h.Observe(f)
 			}
 		}
 		if err := w.Rotate(); err != nil {
@@ -310,14 +313,15 @@ func TestShardedWindowSnapshotWhileIngesting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := w.Ingester()
 	for i := 0; i < 500; i++ {
-		w.Observe(FlowID(i % 19))
+		h.Observe(FlowID(i % 19))
 	}
 	if err := w.Rotate(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 123; i++ { // mid-epoch traffic a snapshot must not capture
-		w.Observe(FlowID(i % 19))
+		h.Observe(FlowID(i % 19))
 	}
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {

@@ -120,8 +120,8 @@ func (s *Sharded) encodeState(e *sketch.Encoder) {
 
 // ReadShardedSnapshot loads a snapshot written by Sharded.Snapshot. The
 // result is query-only: it accepts Estimator, Stats, and NumPackets calls
-// and routes flows to shards exactly as the writer did, but Observe panics
-// and Close is a no-op.
+// and routes flows to shards exactly as the writer did, but it is already
+// closed — minting an Ingester panics and Close is a no-op.
 func ReadShardedSnapshot(r io.Reader) (*Sharded, error) {
 	payload, _, err := sketch.ReadSnapshot(r, shardedAlgoName)
 	if err != nil {

@@ -103,8 +103,9 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := s.Ingester()
 	for i := 0; i < 40000; i++ {
-		s.Observe(FlowID(i % 900))
+		h.Observe(FlowID(i % 900))
 	}
 	if _, err := s.Snapshot(&bytes.Buffer{}); err == nil {
 		t.Fatal("Snapshot before Close accepted")
@@ -139,10 +140,10 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Observe on a loaded sharded snapshot should panic")
+			t.Fatal("Ingester on a loaded sharded snapshot should panic")
 		}
 	}()
-	r.Observe(1)
+	r.Ingester()
 }
 
 func TestWindowSnapshotRoundTrip(t *testing.T) {
@@ -244,14 +245,14 @@ func TestShardedCloseConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := s.Ingester()
 	var obs sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		obs.Add(1)
 		go func(w int) {
 			defer obs.Done()
-			defer func() { _ = recover() }() // Observe may legally panic once closed
 			for i := 0; i < 50000; i++ {
-				s.Observe(FlowID(uint64(w)<<20 | uint64(i%1000)))
+				h.Observe(FlowID(uint64(w)<<20 | uint64(i%1000)))
 			}
 		}(w)
 	}
