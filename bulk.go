@@ -3,6 +3,7 @@ package caesar
 import (
 	"github.com/caesar-sketch/caesar/internal/bulk"
 	"github.com/caesar-sketch/caesar/internal/core"
+	"github.com/caesar-sketch/caesar/internal/hashing"
 )
 
 // This file is the public face of the bulk query engine (internal/core's
@@ -69,40 +70,12 @@ func (e *ShardedEstimator) queryAll(flows []FlowID, m Method, workers int, dst [
 	n := len(e.ests)
 	if n == 1 {
 		if e.ests[0] == nil {
-			for i := range out {
-				out[i] = 0
-			}
+			clear(out)
 			return out
 		}
 		return e.ests[0].e.QueryAll(flows, coreMethod(m), workers, out)
 	}
-
-	// Counting sort by owning shard: grpFlows holds the flows grouped by
-	// shard (group s occupying grpFlows[grpOff[s]:grpOff[s+1]]), grpPos the
-	// original position of each grouped flow.
-	off := resizeInts(e.grpOff, n+1)
-	for i := range off {
-		off[i] = 0
-	}
-	for _, f := range flows {
-		off[e.owner.ShardFor(f)+1]++
-	}
-	for s := 0; s < n; s++ {
-		off[s+1] += off[s]
-	}
-	grouped := resizeFlowIDs(e.grpFlows, len(flows))
-	pos := resizeInt32s(e.grpPos, len(flows))
-	vals := resizeFloats(e.grpVals, len(flows))
-	cursor := resizeInts(e.grpCur, n)
-	copy(cursor, off[:n])
-	for i, f := range flows {
-		s := e.owner.ShardFor(f)
-		p := cursor[s]
-		cursor[s] = p + 1
-		grouped[p] = f
-		pos[p] = int32(i)
-	}
-	e.grpOff, e.grpCur, e.grpFlows, e.grpPos, e.grpVals = off, cursor, grouped, pos, vals
+	e.grp.group(e.owner.router, flows)
 
 	// One bulk pass per shard. Each shard's group writes a disjoint slice of
 	// vals and disjoint positions of out, so shards parallelize safely; a
@@ -120,25 +93,66 @@ func (e *ShardedEstimator) queryAll(flows []FlowID, m Method, workers int, dst [
 }
 
 // estimateShards runs the bulk pass for shards [s0, s1) against the current
-// grouping scratch, scattering results to their original positions in out.
+// grouping, scattering results to their original positions in out.
 func (e *ShardedEstimator) estimateShards(cm core.Method, s0, s1 int, out []float64) {
+	g := &e.grp
 	for s := s0; s < s1; s++ {
-		lo, hi := e.grpOff[s], e.grpOff[s+1]
+		lo, hi := g.off[s], g.off[s+1]
 		if lo == hi {
 			continue
 		}
-		pos := e.grpPos[lo:hi]
+		pos := g.pos[lo:hi]
 		if e.ests[s] == nil {
 			for _, p := range pos {
 				out[p] = 0
 			}
 			continue
 		}
-		part := e.ests[s].e.EstimateMany(e.grpFlows[lo:hi], cm, e.grpVals[lo:hi])
+		part := e.ests[s].e.EstimateMany(g.flows[lo:hi], cm, g.vals[lo:hi])
 		for j, p := range pos {
 			out[p] = part[j]
 		}
 	}
+}
+
+// shardGroups is a counting sort of a flow list by owning shard, the
+// grouping step of every sharded bulk query. Its backing slices are kept
+// across calls, so repeated whole-trace queries allocate nothing per flow
+// in steady state. Not safe for concurrent use: each owner (a
+// ShardedEstimator, or a ShardedWindow under its query mutex) keeps its
+// own.
+type shardGroups struct {
+	off   []int     // group s is flows[off[s]:off[s+1]]
+	cur   []int     // scatter cursor per shard
+	flows []FlowID  // the flows, grouped by shard, in input order within a group
+	pos   []int32   // each grouped flow's position in the input
+	vals  []float64 // one estimate per grouped flow
+}
+
+// group sorts flows into per-shard groups under r's routing.
+func (g *shardGroups) group(r *hashing.ShardRouter, flows []FlowID) {
+	n := r.Shards()
+	off := resizeInts(g.off, n+1)
+	clear(off)
+	for _, f := range flows {
+		off[r.Route(f)+1]++
+	}
+	for s := 0; s < n; s++ {
+		off[s+1] += off[s]
+	}
+	grouped := resizeFlowIDs(g.flows, len(flows))
+	pos := resizeInt32s(g.pos, len(flows))
+	cursor := resizeInts(g.cur, n)
+	copy(cursor, off[:n])
+	for i, f := range flows {
+		s := r.Route(f)
+		p := cursor[s]
+		cursor[s] = p + 1
+		grouped[p] = f
+		pos[p] = int32(i)
+	}
+	g.off, g.cur, g.flows, g.pos = off, cursor, grouped, pos
+	g.vals = resizeFloats(g.vals, len(flows))
 }
 
 // EstimateMany sums each flow's per-epoch bulk estimates over the sealed

@@ -303,6 +303,12 @@ func (est *Estimator) EstimateWithInterval(flow FlowID, alpha float64) (float64,
 	return est.e.CSMInterval(flow, alpha)
 }
 
+// intervalAt is EstimateWithInterval at a precomputed z = stats.ZAlpha(alpha),
+// so a windowed query looks the quantile up once for all its epochs.
+func (est *Estimator) intervalAt(flow FlowID, z float64) (float64, Interval) {
+	return est.e.CSMIntervalAt(flow, z)
+}
+
 // MLMInterval returns the MLM estimate with its confidence interval.
 func (est *Estimator) MLMInterval(flow FlowID, alpha float64) (float64, Interval) {
 	return est.e.MLMInterval(flow, alpha)

@@ -124,11 +124,14 @@ func (s *server) addCandidates(flows []caesar.FlowID) {
 	s.candMu.Unlock()
 }
 
-// candidates returns a stable copy of the candidate set.
+// candidates returns the current candidate list without copying it:
+// Candidates.Flows never writes to a slice it has returned, so detectors
+// can scan it after candMu is released while ingest keeps adding flows.
+// Callers must not modify it.
 func (s *server) candidates() []caesar.FlowID {
 	s.candMu.Lock()
 	defer s.candMu.Unlock()
-	return append([]caesar.FlowID(nil), s.cand.Flows()...)
+	return s.cand.Flows()
 }
 
 // rotate seals the current epoch and, when configured, checkpoints the

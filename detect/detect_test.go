@@ -212,11 +212,16 @@ func TestCandidates(t *testing.T) {
 	if a.Len() != 4 {
 		t.Fatalf("Len() = %d, want 4", a.Len())
 	}
-	// The sorted cache must invalidate on new flows.
+	// The sorted cache must invalidate on new flows, and a slice already
+	// returned must not change: callers scan it outside their lock.
+	before := a.Flows()
 	a.Add(2)
 	want = []caesar.FlowID{1, 2, 3, 5, 9}
 	if got := a.Flows(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after Add: Flows() = %v, want %v", got, want)
+	}
+	if old := []caesar.FlowID{1, 3, 5, 9}; !reflect.DeepEqual(before, old) {
+		t.Fatalf("a slice returned before Add changed to %v, want %v", before, old)
 	}
 }
 

@@ -457,8 +457,16 @@ func (e *Estimator) VarMLM(x float64) float64 {
 // carries distribution knowledge (Q, SizeSecondMoment), the membership
 // variance is included; otherwise this is the paper's interval verbatim.
 func (e *Estimator) CSMInterval(flow hashing.FlowID, alpha float64) (float64, stats.Interval) {
+	return e.CSMIntervalAt(flow, stats.ZAlpha(alpha))
+}
+
+// CSMIntervalAt is CSMInterval at a precomputed z quantile
+// (stats.ZAlpha(alpha)), for callers that widen many estimates at one
+// reliability and would otherwise repeat the inverse-normal evaluation per
+// flow.
+func (e *Estimator) CSMIntervalAt(flow hashing.FlowID, z float64) (float64, stats.Interval) {
 	est := e.CSM(flow)
-	return est, e.csmIntervalAt(est, stats.ZAlpha(alpha))
+	return est, e.csmIntervalAt(est, z)
 }
 
 // csmIntervalAt widens a CSM estimate into its confidence interval given a

@@ -1097,16 +1097,10 @@ type ShardedEstimator struct {
 	owner *Sharded
 	ests  []*Estimator
 
-	// Bulk-query scratch (EstimateMany/QueryAll): the per-shard grouping is
-	// rebuilt on every call but the backing slices are kept, so repeated
-	// whole-trace queries allocate nothing per flow. Not guarded: the
+	// Bulk-query scratch (EstimateMany/QueryAll). Not guarded: the
 	// estimator, like the per-shard ones, is not safe for concurrent use
 	// from multiple goroutines (QueryAll parallelizes internally).
-	grpOff   []int
-	grpCur   []int
-	grpFlows []FlowID
-	grpPos   []int32
-	grpVals  []float64
+	grp shardGroups
 }
 
 // Covered reports whether the flow's owning shard produced a query view.
@@ -1160,6 +1154,16 @@ func (e *ShardedEstimator) EstimateWithInterval(flow FlowID, alpha float64) (flo
 		return 0, Interval{}
 	}
 	return est.EstimateWithInterval(flow, alpha)
+}
+
+// intervalAt is EstimateWithInterval at a precomputed z quantile, the
+// per-epoch step of ShardedWindow.EstimateWithInterval.
+func (e *ShardedEstimator) intervalAt(flow FlowID, z float64) (float64, Interval) {
+	est := e.ests[e.owner.ShardFor(flow)]
+	if est == nil {
+		return 0, Interval{}
+	}
+	return est.intervalAt(flow, z)
 }
 
 // SetDistribution forwards flow-population knowledge to every shard,

@@ -6,6 +6,8 @@ import (
 	"math"
 	"sync"
 
+	"github.com/caesar-sketch/caesar/internal/bulk"
+	"github.com/caesar-sketch/caesar/internal/core"
 	"github.com/caesar-sketch/caesar/internal/epoch"
 	"github.com/caesar-sketch/caesar/internal/stats"
 )
@@ -87,10 +89,12 @@ type ShardedWindow struct {
 	retiredStats   Stats
 
 	// queryMu serializes queries: sealed shard estimators reuse scratch
-	// buffers, so concurrent queries must not interleave on them.
+	// buffers, so concurrent queries must not interleave on them. grp and
+	// sums are the bulk queries' shard grouping and per-flow sums.
 	queryMu      sync.Mutex
 	epochScratch []*windowEpoch
-	sumScratch   []float64
+	grp          shardGroups
+	sums         []float64
 }
 
 // windowEpoch is one sealed epoch: the closed shard set (which owns the
@@ -478,7 +482,7 @@ func (w *ShardedWindow) EstimateWithInterval(flow FlowID, alpha float64) (float6
 	z := stats.ZAlpha(alpha)
 	var sum, varsum float64
 	for _, we := range w.snapshotEpochs() {
-		est, iv := we.est.EstimateWithInterval(flow, alpha)
+		est, iv := we.est.intervalAt(flow, z)
 		sum += est
 		half := iv.Width() / 2
 		varsum += (half / z) * (half / z)
@@ -500,11 +504,12 @@ func (w *ShardedWindow) EstimateLossAdjusted(flow FlowID, m Method) float64 {
 	return w.Estimate(flow, m) / (1 - rho)
 }
 
-// EstimateMany computes every flow's windowed estimate with one bulk pass
-// per sealed epoch per shard — flows[i]'s estimate lands at index i, and
-// the result is bit-identical to calling Estimate in a loop. dst is reused
-// when it has capacity. Safe for concurrent use (queries serialize
-// internally).
+// EstimateMany computes every flow's windowed estimate: the flows are
+// grouped by owning shard once, then each group gets one bulk pass per
+// sealed epoch. flows[i]'s estimate lands at index i, and the result is
+// bit-identical to calling Estimate in a loop. dst is reused when it has
+// capacity, and with a reused dst the steady state allocates nothing.
+// Safe for concurrent use (queries serialize internally).
 func (w *ShardedWindow) EstimateMany(flows []FlowID, m Method, dst []float64) []float64 {
 	return w.queryAllWindow(flows, m, 1, dst)
 }
@@ -520,21 +525,72 @@ func (w *ShardedWindow) queryAllWindow(flows []FlowID, m Method, workers int, ds
 	w.queryMu.Lock()
 	defer w.queryMu.Unlock()
 	out := resizeFloats(dst, len(flows))
-	for i := range out {
-		out[i] = 0
-	}
-	if len(flows) == 0 {
+	clear(out)
+	epochs := w.snapshotEpochs()
+	if len(flows) == 0 || len(epochs) == 0 {
 		return out
 	}
-	scratch := resizeFloats(w.sumScratch, len(flows))
-	for _, we := range w.snapshotEpochs() {
-		scratch = we.est.queryAll(flows, m, workers, scratch)
-		for i, v := range scratch {
-			out[i] += v
+	n := len(epochs[0].est.ests)
+	if n == 1 {
+		// One shard owns every flow, so there is nothing to group; each
+		// epoch's estimator fans flow chunks out across workers itself.
+		part := w.sums
+		for _, we := range epochs {
+			part = we.est.queryAll(flows, m, workers, part)
+			for i, v := range part {
+				out[i] += v
+			}
+		}
+		w.sums = part
+		return out
+	}
+
+	// Every epoch routes with shardRouteSeed over the same shard count
+	// (ReadShardedWindow rejects a snapshot whose epochs disagree), so one
+	// grouping serves them all. Workers own whole shards, as in
+	// ShardedEstimator.queryAll, and the serial path stays closure-free for
+	// the same zero-alloc reason.
+	w.grp.group(epochs[0].est.owner.router, flows)
+	w.sums = resizeFloats(w.sums, len(flows))
+	cm := coreMethod(m)
+	if nw := bulk.Workers(workers, n); nw <= 1 {
+		w.sumShards(epochs, cm, 0, n, out)
+	} else {
+		bulk.Do(n, nw, func(_, s0, s1 int) { w.sumShards(epochs, cm, s0, s1, out) })
+	}
+	return out
+}
+
+// sumShards runs, for each shard in [s0, s1), that shard's bulk pass in
+// every sealed epoch, in sealed order, accumulating into the grouped sums,
+// then scatters each flow's sum to its input position in out. The sums
+// start at +0 and add each epoch's estimate in turn, exactly as Estimate
+// does, so they are bit-identical to it. An unrecoverable shard estimates
+// 0, and adding 0 to a sum that started at +0 changes no bit, so its
+// epoch is skipped.
+func (w *ShardedWindow) sumShards(epochs []*windowEpoch, cm core.Method, s0, s1 int, out []float64) {
+	g := &w.grp
+	for s := s0; s < s1; s++ {
+		lo, hi := g.off[s], g.off[s+1]
+		if lo == hi {
+			continue
+		}
+		sum := w.sums[lo:hi]
+		clear(sum)
+		for _, we := range epochs {
+			est := we.est.ests[s]
+			if est == nil {
+				continue
+			}
+			part := est.e.EstimateMany(g.flows[lo:hi], cm, g.vals[lo:hi])
+			for j, v := range part {
+				sum[j] += v
+			}
+		}
+		for j, p := range g.pos[lo:hi] {
+			out[p] = sum[j]
 		}
 	}
-	w.sumScratch = scratch
-	return out
 }
 
 // Epochs returns a point-in-time view of the sealed epochs, oldest first.

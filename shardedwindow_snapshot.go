@@ -151,6 +151,11 @@ func ReadShardedWindowOptions(r io.Reader, opts ShardedOptions) (*ShardedWindow,
 		if epochErr != nil {
 			return nil, fmt.Errorf("caesar: sealed epoch %d: %w", i, epochErr)
 		}
+		// Window bulk queries group flows by shard once for all epochs, so
+		// every epoch must split the flow space the same way.
+		if got := sh.NumShards(); got != nshards {
+			return nil, fmt.Errorf("caesar: sealed epoch %d has %d shards, window has %d", i, got, nshards)
+		}
 		est, err := sh.Estimator()
 		if err != nil {
 			return nil, fmt.Errorf("caesar: sealed epoch %d: %w", i, err)

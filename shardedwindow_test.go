@@ -2,8 +2,13 @@ package caesar
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
+	"sync"
 	"testing"
+
+	"github.com/caesar-sketch/caesar/internal/stats"
 )
 
 func shardedWindowConfig() Config {
@@ -339,5 +344,205 @@ func TestShardedWindowSnapshotWhileIngesting(t *testing.T) {
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fourEpochWindow builds a 4-epoch window over nshards shards whose epochs
+// hold different traffic over flows, and seals all four.
+func fourEpochWindow(t *testing.T, nshards int, flows []FlowID) *ShardedWindow {
+	t.Helper()
+	w, err := NewShardedWindow(4, nshards, shardedWindowConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := w.Ingester()
+	for e := 0; e < 4; e++ {
+		for i, f := range flows {
+			for p := 0; p < 1+(i*7+e*3)%23; p++ {
+				h.Observe(f)
+			}
+		}
+		if err := w.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return w
+}
+
+// intervalBySteps is the windowed interval as the per-epoch scalar queries
+// give it: each epoch's own EstimateWithInterval, its half-width turned
+// back into a variance at z, the variances summed.
+func intervalBySteps(epochs []func(FlowID, float64) (float64, Interval), flow FlowID, alpha float64) (float64, Interval) {
+	z := stats.ZAlpha(alpha)
+	var sum, varsum float64
+	for _, q := range epochs {
+		est, iv := q(flow, alpha)
+		sum += est
+		half := iv.Width() / 2
+		varsum += (half / z) * (half / z)
+	}
+	half := z * math.Sqrt(varsum)
+	return sum, Interval{Lo: sum - half, Hi: sum + half}
+}
+
+// checkWindowBulk requires the window's bulk queries at every worker count,
+// and its interval query, to be bit-identical to the scalar per-flow path.
+func checkWindowBulk(t *testing.T, name string, w *ShardedWindow, flows []FlowID) {
+	t.Helper()
+	var epochs []func(FlowID, float64) (float64, Interval)
+	for _, v := range w.Epochs() {
+		epochs = append(epochs, v.EstimateWithInterval)
+	}
+	for i, f := range flows {
+		gotEst, gotIv := w.EstimateWithInterval(f, 0.95)
+		wantEst, wantIv := intervalBySteps(epochs, f, 0.95)
+		if math.Float64bits(gotEst) != math.Float64bits(wantEst) ||
+			math.Float64bits(gotIv.Lo) != math.Float64bits(wantIv.Lo) || math.Float64bits(gotIv.Hi) != math.Float64bits(wantIv.Hi) {
+			t.Fatalf("%s: flow %d (#%d): EstimateWithInterval %v %+v, per-epoch intervals give %v %+v",
+				name, f, i, gotEst, gotIv, wantEst, wantIv)
+		}
+	}
+	for _, m := range []Method{CSM, MLM} {
+		for _, workers := range []int{1, 2, 5} {
+			var got []float64
+			if workers == 1 {
+				got = w.EstimateMany(flows, m, nil)
+			} else {
+				got = w.QueryAll(flows, m, workers, nil)
+			}
+			for i, f := range flows {
+				if want := w.Estimate(f, m); math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("%s: %v workers=%d flow %d: bulk %v, Estimate %v", name, m, workers, f, got[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestShardedWindowBulkMatchesScalarEdges pins the window's one-grouping
+// bulk path to the scalar Estimate loop where the grouping could go wrong:
+// a single shard, an epoch whose shard estimator is unrecoverable (nil),
+// and a window restored from a snapshot.
+func TestShardedWindowBulkMatchesScalarEdges(t *testing.T) {
+	flows, _ := bulkAPIFlows(700)
+	for _, nshards := range []int{1, 3} {
+		w := fourEpochWindow(t, nshards, flows)
+		checkWindowBulk(t, fmt.Sprintf("%d shards", nshards), w, flows)
+
+		var buf bytes.Buffer
+		if _, err := w.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		r, err := ReadShardedWindow(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkWindowBulk(t, fmt.Sprintf("%d shards, restored", nshards), r, flows)
+		live, restored := w.EstimateMany(flows, MLM, nil), r.EstimateMany(flows, MLM, nil)
+		for i := range flows {
+			if math.Float64bits(live[i]) != math.Float64bits(restored[i]) {
+				t.Fatalf("%d shards: flow %d: live %v, restored %v", nshards, flows[i], live[i], restored[i])
+			}
+		}
+
+		// An unrecoverable shard in one epoch: its flows take 0 from that
+		// epoch only.
+		w.lc.At(1).est.ests[nshards-1] = nil
+		checkWindowBulk(t, fmt.Sprintf("%d shards, nil shard estimator", nshards), w, flows)
+		for _, sw := range []*ShardedWindow{w, r} {
+			if err := sw.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestShardedWindowConcurrentBulkQueries runs window and epoch-view bulk
+// queries from several goroutines at once: the window's shard grouping and
+// sums are shared scratch, so every answer must still equal the serial one
+// (run under -race by make race).
+func TestShardedWindowConcurrentBulkQueries(t *testing.T) {
+	flows, _ := bulkAPIFlows(600)
+	w := fourEpochWindow(t, 3, flows)
+	defer w.Close()
+	want := w.EstimateMany(flows, CSM, nil)
+	view := w.Epochs()[2]
+	wantView := view.EstimateMany(flows, CSM, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				got, exp := w.QueryAll(flows, CSM, 1+g%3, nil), want
+				if g%2 == 1 {
+					got, exp = view.QueryAll(flows, CSM, g, nil), wantView
+				}
+				for j := range flows {
+					if math.Float64bits(got[j]) != math.Float64bits(exp[j]) {
+						t.Errorf("goroutine %d: flow %d: %v, serial %v", g, flows[j], got[j], exp[j])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestShardedWindowEstimateManyZeroAllocs is the window's bulk-query
+// allocation gate, wired into `make bench-smoke`: with a reused dst, a
+// windowed bulk query allocates nothing once its scratch is warm.
+func TestShardedWindowEstimateManyZeroAllocs(t *testing.T) {
+	flows, _ := bulkAPIFlows(1024)
+	w := fourEpochWindow(t, 3, flows)
+	defer w.Close()
+	dst := make([]float64, len(flows))
+	for _, m := range []Method{CSM, MLM} {
+		w.EstimateMany(flows, m, dst) // warm the grouping scratch
+		if allocs := testing.AllocsPerRun(20, func() {
+			w.EstimateMany(flows, m, dst)
+		}); allocs != 0 {
+			t.Fatalf("method %v: window EstimateMany allocated %.1f times per run", m, allocs)
+		}
+	}
+}
+
+// TestReadShardedWindowRejectsShardMismatch pins that a snapshot whose
+// sealed epochs disagree with the window on the shard count is refused,
+// naming the epoch: window bulk queries group every epoch's flows with one
+// routing.
+func TestReadShardedWindowRejectsShardMismatch(t *testing.T) {
+	w, err := NewShardedWindow(3, 2, shardedWindowConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	h := w.Ingester()
+	for e := 0; e < 2; e++ {
+		h.ObserveBatch([]FlowID{1, 2, 3})
+		if err := w.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	other, err := NewShardedWindow(1, 3, shardedWindowConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Ingester().ObserveBatch([]FlowID{1, 2, 3})
+	if err := other.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The second sealed epoch takes the 3-shard epoch's state.
+	we, src := w.lc.At(1), other.lc.At(0)
+	we.sh, we.est = src.sh, src.est
+
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ReadShardedWindow(&buf)
+	if err == nil || !strings.Contains(err.Error(), "sealed epoch 1 has 3 shards") {
+		t.Fatalf("ReadShardedWindow = %v, want a shard-count error naming sealed epoch 1", err)
 	}
 }

@@ -97,7 +97,7 @@ func (w *Window) EstimateWithInterval(flow FlowID, alpha float64) (float64, Inte
 	z := stats.ZAlpha(alpha)
 	var sum, varsum float64
 	for i, n := 0, w.lc.Len(); i < n; i++ {
-		est, iv := w.lc.At(i).EstimateWithInterval(flow, alpha)
+		est, iv := w.lc.At(i).intervalAt(flow, z)
 		sum += est
 		half := iv.Width() / 2
 		varsum += (half / z) * (half / z)

@@ -117,6 +117,18 @@ func TestWindowIntervalCoversTruth(t *testing.T) {
 	if !iv.Contains(1500) {
 		t.Fatalf("interval %+v excludes the window truth 1500 (est %v)", iv, est)
 	}
+	// The window's one quantile lookup must give exactly what the
+	// per-epoch interval queries give.
+	var epochs []func(FlowID, float64) (float64, Interval)
+	for i := 0; i < w.EpochsSealed(); i++ {
+		epochs = append(epochs, w.lc.At(i).EstimateWithInterval)
+	}
+	for _, f := range []FlowID{42, 100, 149, 7} {
+		wantEst, wantIv := intervalBySteps(epochs, f, 0.9)
+		if est, iv := w.EstimateWithInterval(f, 0.9); est != wantEst || iv != wantIv {
+			t.Fatalf("flow %d: EstimateWithInterval %v %+v, per-epoch intervals give %v %+v", f, est, iv, wantEst, wantIv)
+		}
+	}
 }
 
 func TestWindowEpochSeedsDiffer(t *testing.T) {
