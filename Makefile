@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint lint-vettool lint-waivers lint-json chaos chaos-serve fuzz-smoke snapshot-compat bench-json bench-matrix bench-diff bench-smoke bench-test hashquality serve-smoke ci
+.PHONY: build test race vet fmt lint lint-vettool lint-waivers lint-json chaos chaos-serve fuzz-smoke snapshot-compat bench-smoke bench-test hashquality serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any Go file is not gofmt-formatted (gofmt -l lists it) or
+# gofmt cannot parse one (it exits nonzero).
+fmt:
+	out=$$(gofmt -l .) && test -z "$$out"
 
 lint:
 	$(GO) run ./cmd/caesar-lint ./...
@@ -75,32 +80,6 @@ fuzz-smoke:
 snapshot-compat:
 	$(GO) test -run=TestSnapshotGoldenCompat -count=1 ./internal/sketch
 
-# Regenerates the committed perf trajectories with 5 repetitions per
-# benchmark: the ingest path (ns/op, allocs/op, shard scaling, batch-size
-# sweep → BENCH_PR3.json), the query path (scalar vs bulk estimation,
-# QueryAll worker scaling → BENCH_PR5.json), and the line-rate ingest
-# pipeline (ring hand-off, block vs scalar hashing, queue-depth sweep,
-# end-to-end pcap replay → BENCH_PR8.json). Commit the refreshed
-# file(s) when the corresponding path changes intentionally.
-bench-json:
-	$(GO) run ./cmd/caesar-bench -perf -perf-out BENCH_PR3.json -perf-count 5
-	$(GO) run ./cmd/caesar-bench -perf-query -perf-out BENCH_PR5.json -perf-count 5
-	$(GO) run ./cmd/caesar-bench -perf-ingest -perf-out BENCH_PR8.json -perf-count 5
-	$(GO) run ./cmd/caesar-bench -perf-matrix -cpus 1,2,4,8 -perf-out BENCH_PR10.json -perf-count 5
-
-# Just the flow-ID / fused-pipeline / GOMAXPROCS matrix report
-# (BENCH_PR10.json), without re-running the other three suites.
-bench-matrix:
-	$(GO) run ./cmd/caesar-bench -perf-matrix -cpus 1,2,4,8 -perf-out BENCH_PR10.json -perf-count 5
-
-# Compares two committed perf reports benchmark by benchmark; a delta only
-# counts as a change when it clears both sides' best..worst run spread.
-# Usage: make bench-diff [OLD=BENCH_PR8.json] [NEW=BENCH_PR10.json]
-OLD ?= BENCH_PR8.json
-NEW ?= BENCH_PR10.json
-bench-diff:
-	$(GO) run ./cmd/caesar-bench bench-diff $(OLD) $(NEW)
-
 # Statistical gates on the flow-ID stage (internal/hashing/quality_test.go):
 # per-input-bit avalanche for the fast keyed hash, the SHA-1 derivation, and
 # the Mix64 finalizer (with a teeth test proving the thresholds reject a
@@ -138,4 +117,4 @@ bench-test:
 serve-smoke:
 	$(GO) test -run=TestServeSmoke -count=1 -v ./cmd/caesar-serve
 
-ci: build vet test race lint lint-vettool lint-waivers chaos chaos-serve fuzz-smoke snapshot-compat bench-smoke bench-test hashquality serve-smoke
+ci: build vet fmt test race lint lint-vettool lint-waivers chaos chaos-serve fuzz-smoke snapshot-compat bench-smoke bench-test hashquality serve-smoke

@@ -67,8 +67,8 @@ func drive(s *Sharded, n, nFlows int) {
 func TestChaosDropPolicyOverflow(t *testing.T) {
 	inj := faultinject.New(1)
 	s, err := NewShardedOptions(2, chaosConfig(), ShardedOptions{
-		BatchSize:      16,
-		QueueDepth:     1,
+		batchSize:      16,
+		queueDepth:     1,
 		OverflowPolicy: Drop,
 		Hooks:          ShardedHooks{OnWorkerBatch: inj.SlowConsumer(0.5, time.Millisecond)},
 	})
@@ -91,15 +91,14 @@ func TestChaosDropPolicyOverflow(t *testing.T) {
 }
 
 // TestChaosSamplePolicyOverflow does the same under the Sample policy: the
-// thinned packets land in DroppedSampled and the kept 1-in-N still reach
+// thinned packets land in DroppedSampled and the kept 1-in-8 still reach
 // the sketch.
 func TestChaosSamplePolicyOverflow(t *testing.T) {
 	inj := faultinject.New(2)
 	s, err := NewShardedOptions(2, chaosConfig(), ShardedOptions{
-		BatchSize:      16,
-		QueueDepth:     1,
+		batchSize:      16,
+		queueDepth:     1,
 		OverflowPolicy: Sample,
-		SampleRate:     4,
 		Hooks:          ShardedHooks{OnWorkerBatch: inj.SlowConsumer(0.5, time.Millisecond)},
 	})
 	if err != nil {
@@ -113,7 +112,7 @@ func TestChaosSamplePolicyOverflow(t *testing.T) {
 		t.Fatal("Sample policy under a slow consumer thinned nothing; the fault was not exercised")
 	}
 	if s.NumPackets() == 0 {
-		t.Fatal("Sample policy delivered nothing; it must keep 1-in-N")
+		t.Fatal("Sample policy delivered nothing; it must keep 1-in-8")
 	}
 }
 
@@ -124,7 +123,7 @@ func TestChaosInjectedBatchDrop(t *testing.T) {
 	inj := faultinject.New(3)
 	const batch = 32
 	s, err := NewShardedOptions(2, chaosConfig(), ShardedOptions{
-		BatchSize: batch,
+		batchSize: batch,
 		Hooks:     ShardedHooks{BeforeEnqueue: inj.DropBatches(0.3)},
 	})
 	if err != nil {
@@ -149,7 +148,7 @@ func TestChaosInjectedBatchDrop(t *testing.T) {
 func TestChaosQueueStall(t *testing.T) {
 	inj := faultinject.New(4)
 	s, err := NewShardedOptions(2, chaosConfig(), ShardedOptions{
-		BatchSize: 16,
+		batchSize: 16,
 		Hooks:     ShardedHooks{BeforeEnqueue: inj.StallQueues(0.05, time.Millisecond)},
 	})
 	if err != nil {
@@ -176,7 +175,7 @@ func TestChaosWorkerPanicQuarantine(t *testing.T) {
 	inj := faultinject.New(5)
 	const target = 1
 	s, err := NewShardedOptions(4, chaosConfig(), ShardedOptions{
-		BatchSize: 16,
+		batchSize: 16,
 		Hooks:     ShardedHooks{OnWorkerBatch: inj.PanicWorker(target, 3)},
 	})
 	if err != nil {
@@ -244,7 +243,7 @@ func TestChaosAllShardsQuarantined(t *testing.T) {
 		hooks[i] = inj.PanicWorker(i, 1)
 	}
 	s, err := NewShardedOptions(2, chaosConfig(), ShardedOptions{
-		BatchSize: 16,
+		batchSize: 16,
 		Hooks: ShardedHooks{OnWorkerBatch: func(shard, packets int) {
 			hooks[shard](shard, packets)
 		}},
@@ -271,8 +270,8 @@ func TestChaosCloseContextDeadline(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	s, err := NewShardedOptions(1, chaosConfig(), ShardedOptions{
-		BatchSize:  4,
-		QueueDepth: 1,
+		batchSize:  4,
+		queueDepth: 1,
 		Hooks: ShardedHooks{OnWorkerBatch: func(shard, packets int) {
 			<-release // wedge the worker until the test lets go
 		}},
@@ -283,30 +282,9 @@ func TestChaosCloseContextDeadline(t *testing.T) {
 	defer once.Do(func() { close(release) })
 
 	const observed = 64
-	h := s.Ingester()
-	done := make(chan struct{})
-	var progress atomic.Uint64
-	go func() {
-		defer close(done)
-		for i := 0; i < observed; i++ {
-			h.Observe(FlowID(i)) // blocks once the queue fills behind the wedged worker
-			progress.Add(1)
-		}
-	}()
-	// Wait until the producer is actually wedged — one batch in the stalled
-	// worker, one in the queue, one blocked in enqueue — so CloseContext
-	// faces the deadlock scenario it exists for (the blocked enqueue holds
-	// the handle mutex the drain needs).
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		p := progress.Load()
-		time.Sleep(5 * time.Millisecond)
-		if q := progress.Load(); q == p && q > 0 && q < observed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("producer never wedged (progress %d/%d)", progress.Load(), observed)
-		}
-	}
+	// CloseContext faces the deadlock scenario it exists for: the blocked
+	// enqueue holds the handle mutex the drain needs.
+	done := wedgeProducer(t, s.Ingester().Observe, observed)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -322,10 +300,31 @@ func TestChaosCloseContextDeadline(t *testing.T) {
 	if reason, ok := s.ShardPanic(0); !ok || reason == "" {
 		t.Fatalf("wedged shard not quarantined by the timed-out close (reason %q, ok %v)", reason, ok)
 	}
+	// Until its worker exits the wedged shard has no query view: its flows
+	// answer (0, zero interval), yet an alpha outside (0,1) still panics,
+	// as it does for a covered flow.
+	est, err := s.Estimator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Covered(0) {
+		t.Fatal("flow on the still-wedged shard reports covered")
+	}
+	if v, iv := est.EstimateWithInterval(0, 0.95); v != 0 || iv != (Interval{}) {
+		t.Fatalf("uncovered flow: EstimateWithInterval = %v, %+v; want 0 and a zero interval", v, iv)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("EstimateWithInterval with alpha 1.5 on an uncovered flow did not panic")
+			}
+		}()
+		est.EstimateWithInterval(0, 1.5)
+	}()
 
 	once.Do(func() { close(release) }) // un-wedge the worker applying its batch
 	<-done                             // abort latch must have released the blocked producer
-	s.wg.Wait()                        // worker exits: applied batch counted, queue drained as drops
+	<-s.workerExited[0]                // worker exits: applied batch counted, queue drained as drops
 
 	st := assertAccounting(t, s, observed)
 	if st.DroppedTimeout == 0 {
@@ -339,14 +338,89 @@ func TestChaosCloseContextDeadline(t *testing.T) {
 	}
 }
 
+// deadlineReason is the quarantine reason of a shard whose worker was still
+// running when a deadline-bounded close gave up on it.
+const deadlineReason = "shutdown deadline exceeded with the worker still running"
+
+// wedgeProducer starts a producer that observes flows 0..n-1, one call
+// each, and returns once it has stalled midway behind a wedged worker of a
+// one-shard sketch with 4-packet batches and a 1-batch ring: one batch in
+// the worker, one in the ring, and one blocked in enqueue while holding
+// the handle mutex. The returned channel closes when the producer is done.
+func wedgeProducer(t *testing.T, observe func(FlowID), n uint64) <-chan struct{} {
+	t.Helper()
+	done := make(chan struct{})
+	var progress atomic.Uint64
+	go func() {
+		defer close(done)
+		for i := uint64(0); i < n; i++ {
+			observe(FlowID(i)) // blocks once the ring fills behind the wedged worker
+			progress.Add(1)
+		}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		p := progress.Load()
+		time.Sleep(5 * time.Millisecond)
+		if q := progress.Load(); q == p && q > 0 && q < n {
+			return done
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("producer never wedged (progress %d/%d)", progress.Load(), n)
+		}
+	}
+}
+
+// TestChaosCloseContextLiveWorkers takes the deadline path with every
+// worker live: two handles still hold buffered packets when CloseContext
+// runs against an already-cancelled context. Each shard must end either
+// flushed or quarantined for the deadline, the ledger must balance once
+// the workers exit, and the query view must still build.
+func TestChaosCloseContextLiveWorkers(t *testing.T) {
+	s, err := NewShardedOptions(3, chaosConfig(), ShardedOptions{batchSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perHandle = 1000 // ~333 packets per shard: 5 full batches and 13 buffered
+	for _, h := range []*Ingester{s.Ingester(), s.Ingester()} {
+		for i := 0; i < perHandle; i++ {
+			h.Observe(FlowID(i % 97))
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := s.CloseContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("CloseContext = %v, want a Canceled-wrapped error", err)
+	}
+	for _, exited := range s.workerExited {
+		<-exited
+	}
+	for i, sk := range s.shards {
+		if reason, ok := s.ShardPanic(i); ok {
+			if reason != deadlineReason {
+				t.Fatalf("shard %d quarantined for %q, want the shutdown deadline", i, reason)
+			}
+			continue
+		}
+		// A flushed shard's cache has been dumped: its counters hold every
+		// packet the shard applied.
+		if sum := sk.s.SRAM().Sum(); sum != sk.NumPackets() {
+			t.Fatalf("shard %d neither flushed nor quarantined: counters hold %d of %d packets", i, sum, sk.NumPackets())
+		}
+	}
+	assertAccounting(t, s, 2*perHandle)
+	if _, err := s.Estimator(); err != nil {
+		t.Fatalf("Estimator after a cut-short close: %v", err)
+	}
+}
+
 // TestChaosFlushContextDeadline fills a queue behind a wedged worker and
 // calls FlushContext with an expired context: the buffered packets must be
 // counted as timeout drops and the error returned.
 func TestChaosFlushContextDeadline(t *testing.T) {
 	release := make(chan struct{})
 	s, err := NewShardedOptions(1, chaosConfig(), ShardedOptions{
-		BatchSize:  1024, // large, so packets stay in the handle buffer
-		QueueDepth: 1,
+		batchSize:  1024, // large, so packets stay in the handle buffer
+		queueDepth: 1,
 		Hooks: ShardedHooks{OnWorkerBatch: func(shard, packets int) {
 			<-release
 		}},
@@ -475,7 +549,7 @@ func TestChaosTornSnapshotWrite(t *testing.T) {
 func TestChaosSnapshotCarriesLossLedger(t *testing.T) {
 	inj := faultinject.New(8)
 	s, err := NewShardedOptions(2, chaosConfig(), ShardedOptions{
-		BatchSize: 16,
+		batchSize: 16,
 		Hooks:     ShardedHooks{BeforeEnqueue: inj.DropBatches(0.3)},
 	})
 	if err != nil {
@@ -535,7 +609,7 @@ func assertWindowAccounting(t *testing.T, w *ShardedWindow, observed uint64) Sta
 // the lifetime ledger must balance exactly — the seal barrier may reorder
 // packets between epochs but can never lose or double-count one.
 func TestChaosShardedWindowRotationStress(t *testing.T) {
-	w, err := NewShardedWindowOptions(3, 4, chaosConfig(), ShardedOptions{BatchSize: 16})
+	w, err := NewShardedWindowOptions(3, 4, chaosConfig(), ShardedOptions{batchSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +681,7 @@ func TestChaosShardedWindowRotationStress(t *testing.T) {
 }
 
 // TestChaosShardedWindowPanicMidSeal arms a worker panic to fire during the
-// seal barrier itself: BatchSize is large enough that the producer's packets
+// seal barrier itself: batchSize is large enough that the producer's packets
 // sit in handle buffers until the seal flushes them, so the first batch the
 // target shard ever applies is the one the seal dispatches. The sealed epoch
 // must join the ring Degraded with the abandoned packets counted, the next
@@ -617,7 +691,7 @@ func TestChaosShardedWindowPanicMidSeal(t *testing.T) {
 	var armed atomic.Bool
 	var panics atomic.Uint64
 	w, err := NewShardedWindowOptions(2, 4, chaosConfig(), ShardedOptions{
-		BatchSize: 1024, // packets stay buffered in the handle until the seal
+		batchSize: 1024, // packets stay buffered in the handle until the seal
 		Hooks: ShardedHooks{OnWorkerBatch: func(shard, packets int) {
 			if shard == target && armed.CompareAndSwap(true, false) {
 				panics.Add(1)
@@ -672,6 +746,78 @@ func TestChaosShardedWindowPanicMidSeal(t *testing.T) {
 	}
 }
 
+// TestChaosRotateContextDeadline rotates a window while a producer is
+// blocked in Observe behind the current epoch's wedged worker. Under Block
+// the blocked producer holds its handle's mutex, which the handle swap
+// needs, so only the deadline can free it: RotateContext must return the
+// deadline error promptly, the sealed epoch must quarantine its wedged
+// shard, the next epoch must ingest normally, and once the worker is
+// released the lifetime ledger must balance exactly.
+func TestChaosRotateContextDeadline(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	defer once.Do(func() { close(release) })
+	var wedged atomic.Bool
+	w, err := NewShardedWindowOptions(2, 1, chaosConfig(), ShardedOptions{
+		batchSize:  4,
+		queueDepth: 1,
+		Hooks: ShardedHooks{OnWorkerBatch: func(shard, packets int) {
+			if wedged.CompareAndSwap(false, true) {
+				<-release // wedge the first epoch's worker on its first batch
+			}
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := w.Ingester()
+	const first = 64
+	done := wedgeProducer(t, h.Observe, first)
+
+	old := w.lc.Current()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	rotated := make(chan error, 1)
+	go func() { rotated <- w.RotateContext(ctx) }()
+	select {
+	case err := <-rotated:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("RotateContext = %v, want a DeadlineExceeded-wrapped error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RotateContext ignored its 50ms deadline while swapping handles")
+	}
+	if reason, ok := old.ShardPanic(0); !ok || reason != deadlineReason {
+		t.Fatalf("sealed epoch's wedged shard: ShardPanic = %q, %v; want the shutdown deadline", reason, ok)
+	}
+	if w.Health() != Healthy {
+		t.Fatalf("next epoch Health = %v, want Healthy", w.Health())
+	}
+	<-done // the abort released the blocked producer, which finished in the next epoch
+	const second = 500
+	for i := 0; i < second; i++ {
+		h.Observe(FlowID(i % 97))
+	}
+
+	once.Do(func() { close(release) })
+	<-old.workerExited[0] // the released worker applies its batch and drains the rest as drops
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	views := w.Epochs()
+	if len(views) != 2 {
+		t.Fatalf("Epochs() = %d views, want 2", len(views))
+	}
+	if st := views[0].Stats(); st.DroppedTimeout == 0 {
+		t.Fatal("the cut-short seal recorded no timeout drops")
+	}
+	if st := views[1].Stats(); st.Health != Healthy || st.DroppedPackets != 0 || st.Packets < second {
+		t.Fatalf("next epoch: Health %v, %d dropped, %d applied; want Healthy, 0, >= %d",
+			st.Health, st.DroppedPackets, st.Packets, second)
+	}
+	assertWindowAccounting(t, w, first+second)
+}
+
 // TestChaosLossAdjustedEstimate drops ~half the traffic and checks that the
 // loss-adjusted estimate recenters on the true flow size while the raw
 // estimate covers only the recorded fraction — the paper's lossy-RCS
@@ -679,7 +825,7 @@ func TestChaosShardedWindowPanicMidSeal(t *testing.T) {
 func TestChaosLossAdjustedEstimate(t *testing.T) {
 	inj := faultinject.New(9)
 	s, err := NewShardedOptions(2, chaosConfig(), ShardedOptions{
-		BatchSize: 8,
+		batchSize: 8,
 		Hooks:     ShardedHooks{BeforeEnqueue: inj.DropBatches(0.5)},
 	})
 	if err != nil {
@@ -728,10 +874,9 @@ func TestChaosLossAdjustedSampleQuarantine(t *testing.T) {
 	var quarantined atomic.Uint64
 	var quarantinedShard atomic.Int64
 	s, err := NewShardedOptions(2, chaosConfig(), ShardedOptions{
-		BatchSize:      16,
-		QueueDepth:     1,
+		batchSize:      16,
+		queueDepth:     1,
 		OverflowPolicy: Sample,
-		SampleRate:     8,
 		Hooks: ShardedHooks{
 			OnWorkerBatch: func(shard, packets int) {
 				slow(shard, packets)

@@ -1,7 +1,7 @@
 // Pcap ingestion: the paper's real front end — parse a libpcap capture down
 // to 5-tuples and measure per-flow sizes with CAESAR at line rate.
 //
-// This is the end-to-end hot path the -perf-ingest benchmarks time: packets
+// This is the end-to-end hot path bench/'s pcap-replay workload times: packets
 // are decoded in blocks into a reused buffer (zero allocations per record),
 // their 5-tuples extracted into a reused block, and the whole block handed
 // to a sharded sketch through a per-producer Ingester whose ObservePackets

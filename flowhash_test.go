@@ -38,8 +38,8 @@ func TestShardedFlowHashOptionValidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("FlowHash %v rejected: %v", fh, err)
 		}
-		if got := s.Options().FlowHash; got != fh {
-			t.Errorf("Options().FlowHash = %v, want %v", got, fh)
+		if got := s.opts.FlowHash; got != fh {
+			t.Errorf("opts.FlowHash = %v, want %v", got, fh)
 		}
 		s.Close()
 	}
@@ -208,13 +208,13 @@ func TestWindowObservePacketsFused(t *testing.T) {
 
 // TestFlowIDZeroAllocs pins the fused fast-hash block path to zero
 // steady-state allocations: once idBuf, routeBuf, and the per-shard batches
-// have reached capacity, ObservePackets must not touch the heap. BatchSize is
+// have reached capacity, ObservePackets must not touch the heap. batchSize is
 // oversized so no batch fills (and recycles through the pool) mid-measurement
 // — pool traffic is the consumer's business, not the hot path's.
 func TestFlowIDZeroAllocs(t *testing.T) {
 	s, err := NewShardedOptions(4, shardedConfig(), ShardedOptions{
 		FlowHash:  FlowHashFast,
-		BatchSize: 8192,
+		batchSize: 8192,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 
 	"github.com/caesar-sketch/caesar/internal/hashing"
 	"github.com/caesar-sketch/caesar/internal/spsc"
+	"github.com/caesar-sketch/caesar/internal/stats"
 )
 
 // Sharded fans packet ingestion out over several independent CAESAR
@@ -57,7 +58,6 @@ type Sharded struct {
 	// ring has exactly one producer (the handle, serialized by its own mutex)
 	// and one consumer (the shard worker).
 	ringShards []*ringShard
-	wg         sync.WaitGroup
 	// router maps flows to shards: one seeded Mix64 and an exact
 	// multiply-based modulo, with a block variant that pipelines the hashes
 	// for a whole batch. Bit-identical to the historical
@@ -121,9 +121,9 @@ const (
 	// counts its packets in Stats.DroppedOverflow. Ingest latency stays
 	// bounded; estimates cover the recorded fraction of each flow.
 	Drop
-	// Sample thins an overflowing batch to one packet in SampleRate before
-	// enqueueing it (the enqueue of the thinned remainder may still block
-	// briefly). The discarded packets are counted in Stats.DroppedSampled.
+	// Sample thins an overflowing batch to one packet in 8 before enqueueing
+	// it (the enqueue of the thinned remainder may still block briefly).
+	// The discarded packets are counted in Stats.DroppedSampled.
 	Sample
 )
 
@@ -265,32 +265,21 @@ type ShardedHooks struct {
 	// exercises the quarantine machinery exactly like a real worker fault.
 	OnWorkerBatch func(shard, packets int)
 	// OnQuarantine fires once per shard, on whichever goroutine first
-	// quarantines it (worker recover, flush, estimator, or the shutdown
-	// watchdog), with the recorded reason. The self-healing service layer
-	// uses it to log the fault and kick the supervisor without polling.
+	// quarantines it (worker recover, flush, estimator, or a
+	// deadline-bounded close), with the recorded reason. The self-healing
+	// service layer uses it to log the fault and kick the supervisor
+	// without polling.
 	// Must not block and must not call back into the Sharded.
 	OnQuarantine func(shard int, reason string)
 }
 
-// ShardedOptions tunes the ingest machinery. The zero value selects the
-// defaults, which match the previously hard-wired constants.
+// ShardedOptions selects the ingest plane's runtime behavior. The zero
+// value is the lossless Block policy, the paper's SHA-1 flow IDs, and no
+// hooks.
 type ShardedOptions struct {
-	// BatchSize is the number of flow IDs a producer accumulates per shard
-	// before handing the batch to the shard worker. Larger batches amortize
-	// the queue handoff further but hold packets longer before they become
-	// visible to the shard. Default 256.
-	BatchSize int
-	// QueueDepth is the capacity in batches of each handle's ring to each
-	// shard, rounded up to a power of two; once a shard falls this far
-	// behind a handle, OverflowPolicy decides what the handle does.
-	// Default 64.
-	QueueDepth int
 	// OverflowPolicy selects the full-queue behavior: Block (default,
 	// lossless), Drop, or Sample.
 	OverflowPolicy OverflowPolicy
-	// SampleRate is N for the Sample policy: an overflowing batch keeps one
-	// packet in N. Default 8; ignored by the other policies.
-	SampleRate int
 	// FlowHash selects the tuple → flow-ID derivation of the tuple-level
 	// ingest entry points: FlowHashSHA1 (default, paper-faithful) or
 	// FlowHashFast (keyed SipHash-2-4, seeded from Config.Seed). A runtime
@@ -301,45 +290,42 @@ type ShardedOptions struct {
 	// Hooks installs fault-injection and instrumentation callbacks; the
 	// zero value installs none.
 	Hooks ShardedHooks
+
+	// batchSize and queueDepth replace the ingest constants below when
+	// nonzero; the package's tests set them to force overflow through tiny
+	// rings.
+	batchSize, queueDepth int
 }
 
-// Default ingest tuning, kept as named constants so the scaling benchmarks
-// can reference the stock configuration.
+// The ingest constants; tests override the first two through
+// ShardedOptions' unexported fields.
 const (
-	DefaultShardBatchSize = 256
-	// DefaultShardQueueDepth was swept for the SPSC rings (caesar-bench
-	// -perf-ingest, queue_depth_sweep in BENCH_PR8.json): throughput is flat
-	// from 16 to 256 batches within run-to-run noise.
-	DefaultShardQueueDepth = 64
-	// DefaultShardSampleRate is the Sample policy's keep ratio: 1 in 8.
-	DefaultShardSampleRate = 8
+	// shardBatchSize is the number of flow IDs a handle accumulates per
+	// shard before handing the batch to the shard worker.
+	shardBatchSize = 256
+	// shardQueueDepth is the capacity in batches of each handle's ring to
+	// each shard; once a shard falls this far behind a handle,
+	// OverflowPolicy decides what the handle does. Swept for the SPSC rings
+	// (queue_depth_sweep in BENCH_PR8.json): throughput is flat from 16 to
+	// 256 batches within run-to-run noise.
+	shardQueueDepth = 64
+	// shardSampleRate is the Sample policy's keep ratio: 1 in 8.
+	shardSampleRate = 8
 )
 
 func (o ShardedOptions) withDefaults() ShardedOptions {
-	if o.BatchSize == 0 {
-		o.BatchSize = DefaultShardBatchSize
+	if o.batchSize == 0 {
+		o.batchSize = shardBatchSize
 	}
-	if o.QueueDepth == 0 {
-		o.QueueDepth = DefaultShardQueueDepth
-	}
-	if o.SampleRate == 0 {
-		o.SampleRate = DefaultShardSampleRate
+	if o.queueDepth == 0 {
+		o.queueDepth = shardQueueDepth
 	}
 	return o
 }
 
 func (o ShardedOptions) validate() error {
-	if o.BatchSize < 1 {
-		return fmt.Errorf("caesar: ShardedOptions.BatchSize must be >= 1, got %d", o.BatchSize)
-	}
-	if o.QueueDepth < 1 {
-		return fmt.Errorf("caesar: ShardedOptions.QueueDepth must be >= 1, got %d", o.QueueDepth)
-	}
 	if o.OverflowPolicy < Block || o.OverflowPolicy > Sample {
 		return fmt.Errorf("caesar: unknown ShardedOptions.OverflowPolicy %d", o.OverflowPolicy)
-	}
-	if o.SampleRate < 1 {
-		return fmt.Errorf("caesar: ShardedOptions.SampleRate must be >= 1, got %d", o.SampleRate)
 	}
 	if o.FlowHash < FlowHashSHA1 || o.FlowHash > FlowHashFast {
 		return fmt.Errorf("caesar: unknown ShardedOptions.FlowHash %d", o.FlowHash)
@@ -360,20 +346,9 @@ const shardRouteSeed = 0x5ad5ad
 // unrelated causes (or neighboring shards) would share a line and ping-pong
 // it between cores under overload — exactly when the ledger is hottest.
 type paddedCounter struct {
-	n atomic.Uint64
+	atomic.Uint64
 	_ [56]byte
 }
-
-// Load returns the current count.
-func (c *paddedCounter) Load() uint64 { return c.n.Load() }
-
-// Store overwrites the count (snapshot restore only).
-func (c *paddedCounter) Store(v uint64) { c.n.Store(v) }
-
-// Add increments the count and returns the new value.
-//
-//caesar:hotpath ledger bump on every accounted drop
-func (c *paddedCounter) Add(v uint64) uint64 { return c.n.Add(v) }
 
 // dropStats is the loss ledger, partitioned by cause. Every field counts
 // packets except batches, which counts whole batches discarded in one step.
@@ -391,13 +366,13 @@ type dropStats struct {
 }
 
 // NewSharded builds n shards from a total-budget config with default ingest
-// tuning. n = 0 selects GOMAXPROCS shards.
+// options. n = 0 selects GOMAXPROCS shards.
 func NewSharded(n int, cfg Config) (*Sharded, error) {
 	return NewShardedOptions(n, cfg, ShardedOptions{})
 }
 
 // NewShardedOptions builds n shards from a total-budget config with
-// explicit ingest tuning. n = 0 selects GOMAXPROCS shards.
+// explicit ingest options. n = 0 selects GOMAXPROCS shards.
 func NewShardedOptions(n int, cfg Config, opts ShardedOptions) (*Sharded, error) {
 	return newSharded(n, cfg, opts, newTupleHasher(opts.FlowHash, cfg.Seed))
 }
@@ -456,7 +431,6 @@ func newSharded(n int, cfg Config, opts ShardedOptions, ids tupleHasher) (*Shard
 		s.workerExited[i] = make(chan struct{})
 	}
 	for i := range s.shards {
-		s.wg.Add(1)
 		go s.worker(i)
 	}
 	return s, nil
@@ -559,14 +533,14 @@ func (s *Sharded) dropBatch(i, n int, cause *paddedCounter) {
 	s.drops.batches.Add(1)
 }
 
-// getBatch returns an empty batch with BatchSize capacity, recycled from
+// getBatch returns an empty batch with batchSize capacity, recycled from
 // the pool when one is available.
 func (s *Sharded) getBatch() shardBatch {
 	if bp, _ := s.batchPool.Get().(*shardBatch); bp != nil {
 		return (*bp)[:0]
 	}
 	//caesar:ignore allocfree cold fallback when the pool is empty; the steady state recycles batches through putBatch
-	return make(shardBatch, 0, s.opts.BatchSize)
+	return make(shardBatch, 0, s.opts.batchSize)
 }
 
 // putBatch returns a consumed batch to the pool.
@@ -581,9 +555,6 @@ func (s *Sharded) putBatch(b shardBatch) {
 
 // NumShards returns the shard count.
 func (s *Sharded) NumShards() int { return len(s.shards) }
-
-// Options returns the (defaulted) ingest tuning.
-func (s *Sharded) Options() ShardedOptions { return s.opts }
 
 // ShardFor returns the index of the shard that owns a flow.
 //
@@ -607,25 +578,25 @@ func (s *Sharded) HashTuple(t FiveTuple) FlowID { return s.ids.id(t) }
 // programming error and panics; observing through an existing handle after
 // Close is a counted no-op.
 func (s *Sharded) Ingester() *Ingester {
-	h := &Ingester{s: s}
-	h.batches = make([]shardBatch, len(s.shards)) //caesar:ignore lockdiscipline h is under construction and not yet shared with any goroutine
-	for i := range h.batches {
-		h.batches[i] = s.getBatch() //caesar:ignore lockdiscipline h is under construction and not yet shared with any goroutine
+	batches := make([]shardBatch, len(s.shards))
+	rings := make([]*spsc.Ring[shardBatch], len(s.shards))
+	for i := range batches {
+		batches[i] = s.getBatch()
+		rings[i] = spsc.New[shardBatch](s.opts.queueDepth)
 	}
+	h := &Ingester{s: s, rings: rings, batches: batches}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		panic("caesar: Ingester after Close")
 	}
-	// Mint this handle's private SPSC rings and register them with the shard
-	// workers. Registration must stay inside the closed check's critical
-	// section: closeWith sets closed under mu before it closes the per-shard
-	// closing latches, so a ring registered here is always seen (and
-	// drained) by its worker before that worker may exit.
-	h.rings = make([]*spsc.Ring[shardBatch], len(s.shards)) //caesar:ignore lockdiscipline h is under construction and not yet shared with any goroutine
-	for i := range h.rings {
-		h.rings[i] = spsc.New[shardBatch](s.opts.QueueDepth) //caesar:ignore lockdiscipline h is under construction and not yet shared with any goroutine
-		s.ringShards[i].register(h.rings[i])
+	// Register the handle's private SPSC rings with the shard workers.
+	// Registration must stay inside the closed check's critical section:
+	// closeWith sets closed under mu before it closes the per-shard closing
+	// latches, so a ring registered here is always seen (and drained) by its
+	// worker before that worker may exit.
+	for i, r := range rings {
+		s.ringShards[i].register(r)
 	}
 	s.handles = append(s.handles, h)
 	return h
@@ -635,7 +606,7 @@ func (s *Sharded) Ingester() *Ingester {
 // for concurrent use, but its point is the opposite: give each producer
 // goroutine its own handle and the packet path never contends — ingest is
 // a buffered append behind a mutex no other producer touches, and only a
-// full batch (every BatchSize packets per shard) reaches shared state.
+// full batch (every 256 packets per shard) reaches shared state.
 type Ingester struct {
 	s *Sharded
 
@@ -703,7 +674,7 @@ func (h *Ingester) observe(flows []FlowID, tuples []FiveTuple) {
 	}
 	for j, flow := range flows {
 		i := int(h.routeBuf[j])
-		//caesar:ignore allocfree per-shard batches are minted with BatchSize capacity and swapped out exactly at len==cap, so this append never grows
+		//caesar:ignore allocfree per-shard batches are minted with batchSize capacity and swapped out exactly at len==cap, so this append never grows
 		b := append(h.batches[i], flow)
 		if len(b) == cap(b) {
 			h.batches[i] = h.s.getBatch()
@@ -779,7 +750,7 @@ func (h *Ingester) FlushContext(ctx context.Context) error {
 // handle (and therefore cannot close its rings) until h.mu is released, so
 // the push always lands on an open ring.
 //
-//caesar:hotpath hands off one full batch per BatchSize packets
+//caesar:hotpath hands off one full batch per batchSize packets
 func (h *Ingester) enqueue(i int, b shardBatch) {
 	s := h.s
 	if hook := s.opts.Hooks.BeforeEnqueue; hook != nil && !hook(i, len(b)) {
@@ -802,12 +773,12 @@ func (h *Ingester) enqueue(i int, b shardBatch) {
 	}
 }
 
-// thinBatch applies the Sample policy to an overflowing batch in place:
-// every SampleRate-th packet is kept (the write index never catches the read
-// index) and the discarded remainder is accounted to shard i.
+// thinBatch applies the Sample policy to an overflowing batch in place: one
+// packet in every shardSampleRate is kept (the write index never catches the
+// read index) and the discarded remainder is accounted to shard i.
 func (s *Sharded) thinBatch(i int, b shardBatch) shardBatch {
 	kept := b[:0]
-	for j := 0; j < len(b); j += s.opts.SampleRate {
+	for j := 0; j < len(b); j += shardSampleRate {
 		//caesar:ignore allocfree kept reuses b's backing array and its write index never passes the read index, so this append never grows
 		kept = append(kept, b[j])
 	}
@@ -887,22 +858,12 @@ func (s *Sharded) closeWith(ctx context.Context) error {
 	handles := s.handles
 	s.handles = nil
 	s.mu.Unlock()
-	if ctx.Done() != nil {
-		// Watchdog: trip the abort latch the moment the deadline fires, for
-		// the whole duration of the close. This is what keeps the handle
-		// drains below deadlock-free — a producer blocked inside enqueue
-		// holds its handle mutex while waiting for ring space, so the drain
-		// cannot take that mutex until the abort releases the blocked push.
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go func() {
-			select {
-			case <-ctx.Done():
-				s.triggerAbort()
-			case <-watchDone:
-			}
-		}()
-	}
+	// Trip the abort latch the moment the deadline fires, for the whole
+	// duration of the close. This is what keeps the handle drains below
+	// deadlock-free — a producer blocked inside enqueue holds its handle
+	// mutex while waiting for ring space, so the drain cannot take that
+	// mutex until the abort releases the blocked push.
+	defer context.AfterFunc(ctx, s.triggerAbort)()
 	timedOut := false
 	// Drain the handles: each drain takes the handle mutex, so it serializes
 	// after any in-flight ingest call on that handle, and marks the handle
@@ -920,7 +881,7 @@ func (s *Sharded) closeWith(ctx context.Context) error {
 		//caesar:ignore atomicdiscipline closeWith runs once (guarded by the closed flag under mu), so nothing can race this close
 		close(rs.closing)
 	}
-	if !s.waitOrAbort(ctx, &s.wg) {
+	if !s.awaitWorkers(ctx) {
 		timedOut = true
 	}
 	for i := range s.shards {
@@ -936,7 +897,7 @@ func (s *Sharded) closeWith(ctx context.Context) error {
 		}
 	}
 	if s.aborted() && ctx.Err() != nil {
-		// The watchdog tripped the abort mid-close: blocked senders counted
+		// The deadline tripped the abort mid-close: blocked senders counted
 		// their batches as timeout drops even if every explicit wait above
 		// happened to finish — report the cut-short close either way.
 		timedOut = true
@@ -961,33 +922,31 @@ func (s *Sharded) workerDone(i int) bool {
 	}
 }
 
-// waitOrAbort waits for the worker pool; if ctx expires first it trips the
-// abort latch — turning workers into counting drains — grants a short grace
-// for anything not truly wedged, and then abandons the wait: a consumer
-// wedged mid-batch cannot hang a deadline-bounded shutdown (its shard is
-// quarantined instead). Reports whether the wait completed.
-func (s *Sharded) waitOrAbort(ctx context.Context, wg *sync.WaitGroup) bool {
-	if ctx.Done() == nil {
-		// Plain Close: nothing can expire, skip the watcher goroutine.
-		wg.Wait()
-		return true
-	}
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return true
-	case <-ctx.Done():
-		s.triggerAbort()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Millisecond):
+// awaitWorkers waits for every shard worker to exit. If ctx expires first
+// it trips the abort latch — turning workers into counting drains — grants
+// one short grace for anything not truly wedged, and then abandons the
+// wait: a consumer wedged mid-batch cannot hang a deadline-bounded shutdown
+// (its shard is quarantined instead). Reports whether every worker exited
+// before the deadline.
+func (s *Sharded) awaitWorkers(ctx context.Context) bool {
+	var grace <-chan time.Time
+	for _, exited := range s.workerExited {
+		if grace == nil {
+			select {
+			case <-exited:
+				continue
+			case <-ctx.Done():
+				s.triggerAbort()
+				grace = time.After(10 * time.Millisecond)
+			}
 		}
-		return false
+		select {
+		case <-exited:
+		case <-grace:
+			return false
+		}
 	}
+	return grace == nil
 }
 
 // safeFlush flushes shard i's cache under recover: a shard whose state was
@@ -1135,25 +1094,27 @@ func (e *ShardedEstimator) EffectiveLossRate() float64 {
 // (variance grows with ρ, as in Figure 7). Falls back to the raw estimate
 // when the loss rate is 0, and returns 0 when everything was dropped.
 func (e *ShardedEstimator) EstimateLossAdjusted(flow FlowID, m Method) float64 {
-	rho := e.owner.effectiveLossRate()
-	if rho <= 0 {
-		return e.Estimate(flow, m)
-	}
-	if rho >= 1 {
+	return lossAdjusted(e.Estimate(flow, m), e.owner.effectiveLossRate())
+}
+
+// lossAdjusted is the Figure 7 correction est/(1-rho): the raw estimate
+// when nothing was lost, 0 when everything was.
+func lossAdjusted(est, rho float64) float64 {
+	switch {
+	case rho <= 0:
+		return est
+	case rho >= 1:
 		return 0
 	}
-	return e.Estimate(flow, m) / (1 - rho)
+	return est / (1 - rho)
 }
 
 // EstimateWithInterval returns the CSM estimate and confidence interval.
 // Flows owned by an unrecoverable quarantined shard return (0, zero
-// interval); see Covered.
+// interval); see Covered. An alpha outside (0,1) panics for every flow,
+// covered or not, as it does in ShardedWindow.EstimateWithInterval.
 func (e *ShardedEstimator) EstimateWithInterval(flow FlowID, alpha float64) (float64, Interval) {
-	est := e.ests[e.owner.ShardFor(flow)]
-	if est == nil {
-		return 0, Interval{}
-	}
-	return est.EstimateWithInterval(flow, alpha)
+	return e.intervalAt(flow, stats.ZAlpha(alpha))
 }
 
 // intervalAt is EstimateWithInterval at a precomputed z quantile, the

@@ -43,9 +43,9 @@ func TestIngesterBatchSizeInvariance(t *testing.T) {
 	var want []byte
 	for _, opt := range []ShardedOptions{
 		{},
-		{BatchSize: 1},
-		{BatchSize: 3, QueueDepth: 2},
-		{BatchSize: 4096},
+		{batchSize: 1},
+		{batchSize: 3, queueDepth: 2},
+		{batchSize: 4096},
 	} {
 		s, err := NewShardedOptions(4, ingesterTestConfig(), opt)
 		if err != nil {
@@ -73,30 +73,28 @@ func TestIngesterBatchSizeInvariance(t *testing.T) {
 }
 
 // TestShardedOptions pins the option plumbing: zero values select the
-// documented defaults, explicit values stick, and nonsense is rejected.
+// ingest constants, the test-only overrides stick, and nonsense is rejected.
 func TestShardedOptions(t *testing.T) {
 	s, err := NewSharded(2, ingesterTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o := s.Options(); o.BatchSize != DefaultShardBatchSize || o.QueueDepth != DefaultShardQueueDepth {
+	if o := s.opts; o.batchSize != shardBatchSize || o.queueDepth != shardQueueDepth ||
+		o.OverflowPolicy != Block {
 		t.Fatalf("default options = %+v", o)
 	}
 	s.Close()
 
-	s, err = NewShardedOptions(2, ingesterTestConfig(), ShardedOptions{BatchSize: 17, QueueDepth: 3})
+	s, err = NewShardedOptions(2, ingesterTestConfig(), ShardedOptions{batchSize: 17, queueDepth: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o := s.Options(); o.BatchSize != 17 || o.QueueDepth != 3 {
+	if o := s.opts; o.batchSize != 17 || o.queueDepth != 3 {
 		t.Fatalf("explicit options = %+v", o)
 	}
 	s.Close()
 
 	for _, bad := range []ShardedOptions{
-		{BatchSize: -1},
-		{QueueDepth: -2},
-		{SampleRate: -3},
 		{OverflowPolicy: OverflowPolicy(99)},
 		{OverflowPolicy: OverflowPolicy(-1)},
 	} {
@@ -104,16 +102,6 @@ func TestShardedOptions(t *testing.T) {
 			t.Fatalf("NewShardedOptions accepted %+v", bad)
 		}
 	}
-
-	// The overflow defaults: Block policy, documented sample rate.
-	s, err = NewSharded(2, ingesterTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o := s.Options(); o.OverflowPolicy != Block || o.SampleRate != DefaultShardSampleRate {
-		t.Fatalf("default overflow options = %+v", o)
-	}
-	s.Close()
 
 	for p, want := range map[OverflowPolicy]string{Block: "block", Drop: "drop", Sample: "sample", OverflowPolicy(7): "overflowpolicy(7)"} {
 		if p.String() != want {
@@ -172,7 +160,7 @@ func TestIngesterAfterClose(t *testing.T) {
 // the Close rendezvous is drained, every later one is an after-Close drop,
 // and none is counted twice.
 func TestIngesterCloseRace(t *testing.T) {
-	s, err := NewShardedOptions(4, ingesterTestConfig(), ShardedOptions{BatchSize: 8, QueueDepth: 2})
+	s, err := NewShardedOptions(4, ingesterTestConfig(), ShardedOptions{batchSize: 8, queueDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,10 +164,9 @@ func (h *Ingester) pushWait(ctx context.Context, i int, b shardBatch, abortCuts 
 // into a counting drain, so producers blocked on its rings (and Close) never
 // hang on a dead consumer and every abandoned packet is accounted. It
 // returns only after the closing latch has tripped and every ring it has
-// ever been shown is closed and empty, so closeWith's wait observes all
-// work either applied or counted.
+// ever been shown is closed and empty, so once workerExited[i] closes every
+// batch it was handed is either applied or counted.
 func (s *Sharded) worker(i int) {
-	defer s.wg.Done()
 	//caesar:ignore atomicdiscipline worker i is the sole closer of its own exit latch; no other goroutine ever closes or sends on workerExited[i]
 	defer close(s.workerExited[i])
 	rs := s.ringShards[i]

@@ -41,7 +41,7 @@ func TestShardedMatchesSequentialOracle(t *testing.T) {
 
 	inj := faultinject.New(0xfeed)
 	s, err := NewShardedOptions(nShards, cfg, ShardedOptions{
-		BatchSize: batch,
+		batchSize: batch,
 		Hooks: ShardedHooks{
 			BeforeEnqueue: inj.DropBatches(0.05),
 			OnWorkerBatch: inj.PanicWorker(2, 7),
@@ -180,8 +180,8 @@ func TestRingShardedStress(t *testing.T) {
 		perProducer = 20_000
 	)
 	s, err := NewShardedOptions(3, ringTestConfig(), ShardedOptions{
-		BatchSize:  32,
-		QueueDepth: 4, // tiny rings force constant wrap-around and full hits
+		batchSize:  32,
+		queueDepth: 4, // tiny rings force constant wrap-around and full hits
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestRingShardedStress(t *testing.T) {
 // panic, and the ledger must balance.
 func TestRingObserveCloseRace(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
-		s, err := NewShardedOptions(2, ringTestConfig(), ShardedOptions{BatchSize: 16})
+		s, err := NewShardedOptions(2, ringTestConfig(), ShardedOptions{batchSize: 16})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -106,15 +106,15 @@ type windowEpoch struct {
 }
 
 // NewShardedWindow builds a sliding window of `epochs` sealed epochs over
-// nshards-way parallel ingest with default ingest tuning. nshards = 0
+// nshards-way parallel ingest with default ingest options. nshards = 0
 // selects GOMAXPROCS shards. cfg is the per-epoch budget: each live epoch
 // owns a full shard set, and rotation double-buffers two of them briefly.
 func NewShardedWindow(epochs, nshards int, cfg Config) (*ShardedWindow, error) {
 	return NewShardedWindowOptions(epochs, nshards, cfg, ShardedOptions{})
 }
 
-// NewShardedWindowOptions is NewShardedWindow with explicit ingest tuning;
-// the options (overflow policy, batch size, hooks) apply to every epoch's
+// NewShardedWindowOptions is NewShardedWindow with explicit ingest options;
+// the options (overflow policy, flow hash, hooks) apply to every epoch's
 // shard set.
 func NewShardedWindowOptions(epochs, nshards int, cfg Config, opts ShardedOptions) (*ShardedWindow, error) {
 	if epochs < 1 {
@@ -273,10 +273,14 @@ func (w *ShardedWindow) RotateContext(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	old := w.lc.Current()
+	// Arm the old epoch's abort latch before the swap: under Block, a
+	// producer waiting on a full ring behind a wedged worker holds its
+	// handle's mutex, and only the abort releases that wait.
+	defer context.AfterFunc(ctx, old.triggerAbort)()
 	for _, wi := range w.handles {
 		wi.swap(next.Ingester())
 	}
-	old := w.lc.Current()
 	closeErr := old.closeWith(ctx)
 	w.sealInto(old, next)
 	return closeErr
@@ -494,14 +498,7 @@ func (w *ShardedWindow) EstimateWithInterval(flow FlowID, alpha float64) (float6
 // EstimateLossAdjusted scales Estimate by 1/(1-EffectiveLossRate), the
 // paper's Figure 7 correction, over the window's lifetime loss rate.
 func (w *ShardedWindow) EstimateLossAdjusted(flow FlowID, m Method) float64 {
-	rho := w.EffectiveLossRate()
-	if rho <= 0 {
-		return w.Estimate(flow, m)
-	}
-	if rho >= 1 {
-		return 0
-	}
-	return w.Estimate(flow, m) / (1 - rho)
+	return lossAdjusted(w.Estimate(flow, m), w.EffectiveLossRate())
 }
 
 // EstimateMany computes every flow's windowed estimate: the flows are

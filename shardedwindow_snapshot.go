@@ -81,7 +81,7 @@ func ReadShardedWindow(r io.Reader) (*ShardedWindow, error) {
 }
 
 // ReadShardedWindowOptions is ReadShardedWindow with explicit ingest
-// tuning for the restored window. Snapshots persist only the counter
+// options for the restored window. Snapshots persist only the counter
 // state, not the runtime options, so a daemon restoring a checkpoint must
 // re-supply its overflow policy and hooks here or the fresh current epoch
 // (and every later one) silently reverts to the defaults.
