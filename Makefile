@@ -61,9 +61,10 @@ chaos:
 # mid-epoch worker panics healed by supervised seal+rotate within backoff
 # bounds, degraded reads with coverage headers, admission-control shedding
 # under Drop and Block, slow clients against the read timeouts, mid-body
-# disconnects, failing checkpoint writes, and a SIGKILL + restart
-# reconciliation drill whose lost-packet count must match the injected
-# loss exactly.
+# disconnects, failing checkpoint writes, a timed rotation that outlives a
+# failed one, a rotation bounded by the drain timeout behind a wedged
+# worker, and a SIGKILL + restart reconciliation drill whose lost-packet
+# count must match the injected loss exactly.
 chaos-serve:
 	$(GO) test -race -count=3 -run='^TestChaosServe' ./cmd/caesar-serve
 
@@ -73,6 +74,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTornSnapshot -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzFiveTupleHash -fuzztime=$(FUZZTIME) ./internal/hashing
 	$(GO) test -run='^$$' -fuzz=FuzzDetectOrder -fuzztime=$(FUZZTIME) ./detect
+	$(GO) test -run='^$$' -fuzz=FuzzObserveBody -fuzztime=$(FUZZTIME) ./cmd/caesar-serve
 
 # Verifies the committed CSNP golden fixtures still round-trip byte for byte
 # (writer) and bit for bit (reader). Regenerate intentionally-changed
@@ -93,12 +95,14 @@ hashquality:
 # (TestIngestZeroAllocs), bulk query (TestEstimateManyZeroAllocs), the
 # windowed bulk query (TestShardedWindowEstimateManyZeroAllocs), and the
 # fused tuple-block path (TestFlowIDZeroAllocs, plus the FlowIDer scratch
-# gate in internal/hashing) are deterministic gates; the bench runs also
+# gate in internal/hashing) and caesar-serve's /observe body scanner
+# (TestObserveScanZeroAllocs) are deterministic gates; the bench runs also
 # surface the ns/op trend — including the fast flow-ID hash — in the job
 # log.
 bench-smoke:
 	$(GO) test -run='TestSketchObserveZeroAllocs|TestEstimateManyZeroAllocs|TestShardedWindowEstimateManyZeroAllocs|TestIngestZeroAllocs|TestFlowIDZeroAllocs' -count=1 .
 	$(GO) test -run='TestFlowIDerZeroAllocs' -count=1 ./internal/hashing
+	$(GO) test -run='TestObserveScanZeroAllocs' -count=1 ./cmd/caesar-serve
 	$(GO) test -run='^$$' -bench='BenchmarkSketchObserve$$' -benchtime=100x -benchmem .
 	$(GO) test -run='^$$' -bench='BenchmarkFlowID' -benchtime=100x -benchmem ./internal/hashing
 

@@ -28,6 +28,10 @@ type serveOptions struct {
 	// overflow mirrors the window's ingest overflow policy so admission
 	// control sheds the way the ingest path would.
 	overflow caesar.OverflowPolicy
+	// drainTimeout bounds every rotation the service starts itself
+	// (POST /rotate and the -rotate-every timer), like the -drain-timeout
+	// flag it comes from bounds the shutdown seal.
+	drainTimeout time.Duration
 	// snapHooks plugs internal/faultinject into checkpoint writes; nil in
 	// production.
 	snapHooks *snapfile.Hooks
@@ -42,6 +46,9 @@ func (o serveOptions) withDefaults() serveOptions {
 	}
 	if o.observeTimeout <= 0 {
 		o.observeTimeout = time.Second
+	}
+	if o.drainTimeout <= 0 {
+		o.drainTimeout = 5 * time.Second
 	}
 	return o
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,7 +12,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -175,6 +179,28 @@ func TestChaosServeSupervisorRecovery(t *testing.T) {
 	if want := raw * correct; rows[0].Estimate != want {
 		t.Fatalf("degraded estimate = %v, want exactly raw %v x correction %v = %v",
 			rows[0].Estimate, raw, correct, want)
+	}
+	// The detector endpoints carry the same headers (their rows are not
+	// loss-adjusted).
+	for _, path := range []string{"/alerts?threshold=100", "/changes"} {
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("degraded %s: status %d, want 200", path, resp.StatusCode)
+		}
+		if h := resp.Header.Get("X-Caesar-Health"); h != "degraded" {
+			t.Fatalf("degraded %s: X-Caesar-Health = %q", path, h)
+		}
+		if d := resp.Header.Get("X-Caesar-Degraded"); d != "true" {
+			t.Fatalf("degraded %s: X-Caesar-Degraded = %q", path, d)
+		}
+		if c, want := resp.Header.Get("X-Caesar-Coverage"), strconv.FormatFloat(1-rho, 'g', -1, 64); c != want {
+			t.Fatalf("degraded %s: X-Caesar-Coverage = %q, want %q", path, c, want)
+		}
 	}
 
 	// Supervisor recovery, clocked by hand: the first Step rotates
@@ -483,6 +509,169 @@ func TestChaosServeCheckpointFailure(t *testing.T) {
 	}
 	if bytes.Equal(good, recovered) {
 		t.Fatal("post-recovery checkpoint did not advance past the pre-fault one")
+	}
+}
+
+// TestChaosServeTimedRotationSurvivesFailure pins the -rotate-every loop
+// against a failed rotation: the first tick seals but its checkpoint write
+// fails, which lands in /events as rotate-err; the loop keeps ticking, and
+// the second tick seals and checkpoints.
+func TestChaosServeTimedRotationSurvivesFailure(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "state.csnp")
+	inj := faultinject.New(29)
+	w := chaosWindow(t, caesar.ShardedOptions{})
+	srv := newServer(w, serveOptions{snapPath: snap, snapHooks: &snapfile.Hooks{BeforeRename: inj.FailCheckpoints(1)}})
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	observe(t, ts, 7, 1000)
+
+	ticks := make(chan time.Time)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.rotateOnTicks(ctx, ticks)
+	}()
+	tick := func() {
+		t.Helper()
+		select {
+		case ticks <- time.Now():
+		case <-time.After(5 * time.Second):
+			t.Fatal("the timed rotation loop stopped taking ticks")
+		}
+	}
+	tick()
+	tick() // taken only once the first tick's rotation has returned
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the timed rotation loop ignored its context")
+	}
+
+	if got := w.Rotations(); got != 2 {
+		t.Fatalf("Rotations = %d after two ticks, want 2", got)
+	}
+	if got := inj.CheckpointFailures(); got != 1 {
+		t.Fatalf("CheckpointFailures = %d, want 1", got)
+	}
+	ev := getJSON[eventsResponse](t, ts, "/events")
+	if got := eventKinds(ev.Events)[supervise.KindRotateErr]; got != 1 {
+		t.Fatalf("events = %+v, want one rotate-err for the failed checkpoint", ev.Events)
+	}
+	f, err := os.Open(snap)
+	if err != nil {
+		t.Fatalf("the second tick wrote no checkpoint: %v", err)
+	}
+	defer f.Close()
+	restored, err := caesar.ReadShardedWindow(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	if restored.Rotations() != 2 || restored.NumPackets() != 1000 {
+		t.Fatalf("checkpoint holds %d rotations and %d packets, want the second tick's 2 and 1000",
+			restored.Rotations(), restored.NumPackets())
+	}
+}
+
+// TestChaosServeRotateDeadline wedges a shard worker and rotates over
+// HTTP: POST /rotate must answer 500 within the drain timeout instead of
+// holding rotateMu forever, the sealed epoch must quarantine the wedged
+// shard, the next bounded rotation must go through, and once the worker is
+// released the service ledger must balance exactly.
+func TestChaosServeRotateDeadline(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	unwedge := func() { once.Do(func() { close(release) }) }
+	var wedged atomic.Bool
+	w := chaosWindow(t, caesar.ShardedOptions{Hooks: caesar.ShardedHooks{
+		OnWorkerBatch: func(shard, packets int) {
+			if wedged.CompareAndSwap(false, true) {
+				<-release // wedge the first worker to take a batch
+			}
+		},
+	}})
+	srv := newServer(w, serveOptions{drainTimeout: 100 * time.Millisecond})
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	defer unwedge() // runs first: ts.Close waits for in-flight handlers
+
+	observe(t, ts, 7, 1000)
+	for deadline := time.Now().Add(5 * time.Second); !wedged.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no worker ever took a batch")
+		}
+	}
+
+	rotated := make(chan int, 1)
+	go func() {
+		resp, err := ts.Client().Post(ts.URL+"/rotate", "application/json", nil)
+		if err != nil {
+			t.Error(err)
+			rotated <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		rotated <- resp.StatusCode
+	}()
+	select {
+	case code := <-rotated:
+		if code != http.StatusInternalServerError {
+			t.Fatalf("POST /rotate behind a wedged worker: status %d, want 500", code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("POST /rotate still blocked 5s behind a wedged worker")
+	}
+	sealed, ok := w.LastSealed()
+	if !ok || sealed.Stats().QuarantinedShards != 1 {
+		t.Fatalf("sealed epoch does not quarantine the wedged shard (ok %v, stats %+v)", ok, sealed.Stats())
+	}
+
+	// rotateMu is free again: a bounded rotation, as the supervisor and
+	// the shutdown seal run it, goes through on the fresh shards.
+	observe(t, ts, 9, 500)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	next := make(chan error, 1)
+	go func() { next <- srv.rotateContext(ctx) }()
+	select {
+	case err := <-next:
+		if err != nil {
+			t.Fatalf("rotation after the cut-short one: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("bounded rotateContext still blocked on rotateMu after 5s")
+	}
+
+	if got := w.DroppedPackets(); got != 0 {
+		t.Fatalf("%d packets dropped before the wedged worker was released, want 0", got)
+	}
+	unwedge()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The released worker applies its wedged batch, then counts the rest
+	// of its ring as timeout drops. Those drops are atomic and follow the
+	// apply, so once they show, the shard's packet count is final and safe
+	// to read.
+	for deadline := time.Now().Add(5 * time.Second); w.DroppedPackets() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the released worker never drained its ring")
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		presented := srv.ingested.Load() + srv.shedPackets.Load()
+		counted := w.NumPackets() + w.DroppedPackets() + srv.shedPackets.Load()
+		if presented == 1500 && counted == presented {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("ledger: presented %d, NumPackets %d + dropped %d + shed %d = %d",
+				presented, w.NumPackets(), w.DroppedPackets(), srv.shedPackets.Load(), counted)
+		}
 	}
 }
 

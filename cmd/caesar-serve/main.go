@@ -70,7 +70,7 @@ func main() {
 		maxBody         = flag.Int64("max-body", 1<<20, "POST /observe body size cap in bytes")
 		maxInflight     = flag.Int("max-inflight", 64, "concurrently admitted /observe requests before shedding")
 		observeTimeout  = flag.Duration("observe-timeout", time.Second, "how long a shed-candidate /observe may wait for admission (block/sample policies)")
-		drainTimeout    = flag.Duration("drain-timeout", 5*time.Second, "bound on the SIGTERM connection drain and final seal")
+		drainTimeout    = flag.Duration("drain-timeout", 5*time.Second, "bound on the SIGTERM connection drain and on every seal: final, timed, and POST /rotate")
 		checkEvery      = flag.Duration("check-every", 250*time.Millisecond, "supervisor health probe interval")
 		checkpointEvery = flag.Duration("checkpoint-every", 0, "supervisor checkpoint cadence; 0 = checkpoint only on rotation")
 		backoffBase     = flag.Duration("backoff-base", backoff.DefaultBase, "first delay between supervisor recovery rotations")
@@ -118,6 +118,7 @@ func main() {
 		maxBody:        *maxBody,
 		maxInflight:    *maxInflight,
 		observeTimeout: *observeTimeout,
+		drainTimeout:   *drainTimeout,
 		overflow:       pol,
 	})
 	srvCell.Store(srv)
@@ -180,14 +181,7 @@ func main() {
 	if *rotateEvery > 0 {
 		ticker := time.NewTicker(*rotateEvery)
 		defer ticker.Stop()
-		go func() {
-			for range ticker.C {
-				if err := srv.rotate(); err != nil {
-					log.Printf("caesar-serve: periodic rotate: %v", err)
-					return
-				}
-			}
-		}()
+		go srv.rotateOnTicks(supCtx, ticker.C)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -136,8 +136,33 @@ func (s *server) candidates() []caesar.FlowID {
 
 // rotate seals the current epoch and, when configured, checkpoints the
 // window. The snapshot happens after the seal so it always includes the
-// epoch that just closed.
-func (s *server) rotate() error { return s.rotateContext(context.Background()) }
+// epoch that just closed. The seal runs under the drain timeout, so a
+// wedged worker cannot hold rotateMu, and with it every later rotation
+// and the shutdown seal, forever.
+func (s *server) rotate() error {
+	ctx, cancel := context.WithTimeout(context.Background(), s.opts.drainTimeout)
+	defer cancel()
+	return s.rotateContext(ctx)
+}
+
+// rotateOnTicks is the -rotate-every loop: it rotates on every tick until
+// ctx is done. A failed rotation is logged to /events and the loop keeps
+// going, because the next seal starts on fresh shards and retries the
+// checkpoint; stopping would freeze the query surface and let the open
+// epoch grow without bound.
+func (s *server) rotateOnTicks(ctx context.Context, ticks <-chan time.Time) {
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-ticks:
+			if err := s.rotate(); err != nil {
+				log.Printf("caesar-serve: periodic rotate: %v", err)
+				s.events.Append(supervise.KindRotateErr, "timed rotation failed: %v", err)
+			}
+		}
+	}
+}
 
 // rotateContext is rotate under a deadline: a seal stuck behind a wedged
 // worker gives up when ctx does (the worker is quarantined and the epoch
@@ -452,6 +477,7 @@ func (s *server) handleAlerts(rw http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	s.coverage(rw) // the alert rows themselves are not loss-adjusted
 	alerts := detect.OverThreshold(s.w, s.candidates(), alpha, threshold)
 	out := make([]alertResponse, len(alerts))
 	for i, a := range alerts {
@@ -486,6 +512,7 @@ func (s *server) handleChanges(rw http.ResponseWriter, r *http.Request) {
 		httpError(rw, http.StatusBadRequest, "%v", err)
 		return
 	}
+	s.coverage(rw) // the change rows themselves are not loss-adjusted
 	out := []changeResponse{}
 	if epochs := s.w.Epochs(); len(epochs) >= 2 {
 		prev, cur := epochs[len(epochs)-2], epochs[len(epochs)-1]
@@ -496,10 +523,6 @@ func (s *server) handleChanges(rw http.ResponseWriter, r *http.Request) {
 	writeJSON(rw, out)
 }
 
-type observeRequest struct {
-	Flows []caesar.FlowID `json:"flows"`
-}
-
 // handleObserve ingests a batch of flow IDs: POST /observe with
 // {"flows":[...]}. The body is capped at maxBody bytes; admitted flows
 // enter the current epoch and the candidate set, while requests beyond
@@ -507,8 +530,10 @@ type observeRequest struct {
 // the service-level ledger (see dropsResponse).
 func (s *server) handleObserve(rw http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(rw, r.Body, s.opts.maxBody)
-	var req observeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	b := observePool.Get().(*observeBuf)
+	defer b.release()
+	flows, err := b.decode(r.Body, r.ContentLength, s.opts.maxBody)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			httpError(rw, http.StatusRequestEntityTooLarge,
@@ -518,20 +543,20 @@ func (s *server) handleObserve(rw http.ResponseWriter, r *http.Request) {
 		httpError(rw, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if len(req.Flows) == 0 {
-		writeJSON(rw, map[string]int{"observed": 0})
+	if len(flows) == 0 {
+		b.writeObserved(rw, 0)
 		return
 	}
 	release, status := s.admit(r)
 	if release == nil {
-		s.shed(rw, status, len(req.Flows))
+		s.shed(rw, status, len(flows))
 		return
 	}
 	defer release()
-	s.ingest.ObserveBatch(req.Flows)
-	s.noteIngested(len(req.Flows))
-	s.addCandidates(req.Flows)
-	writeJSON(rw, map[string]int{"observed": len(req.Flows)})
+	s.ingest.ObserveBatch(flows)
+	s.noteIngested(len(flows))
+	s.addCandidates(flows)
+	b.writeObserved(rw, len(flows))
 }
 
 type eventsResponse struct {
