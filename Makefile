@@ -63,8 +63,11 @@ chaos:
 # under Drop and Block, slow clients against the read timeouts, mid-body
 # disconnects, failing checkpoint writes, a timed rotation that outlives a
 # failed one, a rotation bounded by the drain timeout behind a wedged
-# worker, and a SIGKILL + restart reconciliation drill whose lost-packet
-# count must match the injected loss exactly.
+# worker, a checkpoint that counts an /observe batch still in flight
+# (TestChaosServeCheckpointCountsInFlightObserve), a SIGTERM that seals and
+# checkpoints the open epoch and exits 0 (TestChaosServeSIGTERMSeal), and a
+# SIGKILL + restart reconciliation drill whose lost-packet count must match
+# the injected loss exactly.
 chaos-serve:
 	$(GO) test -race -count=3 -run='^TestChaosServe' ./cmd/caesar-serve
 

@@ -10,27 +10,27 @@ import (
 )
 
 // serveOptions is the service-layer configuration of a server: persistence,
-// admission control, and fault-injection hooks. The zero value (plus
-// withDefaults) is a usable test configuration.
+// admission control, and fault-injection hooks. withDefaults fills every
+// zero limit with the daemon's value; main sets only snapPath,
+// drainTimeout and overflow, and tests shrink the admission limits.
 type serveOptions struct {
 	// snapPath receives crash-safe checkpoints (plus a sidecar .meta file
 	// for restart reconciliation); "" disables persistence.
 	snapPath string
-	// maxBody caps the POST /observe request body in bytes.
+	// maxBody caps the POST /observe request body in bytes (1 MiB).
 	maxBody int64
-	// maxInflight bounds concurrently admitted /observe requests; requests
-	// beyond it are shed per the overflow policy.
+	// maxInflight bounds concurrently admitted /observe requests (64);
+	// requests beyond it are shed per the overflow policy.
 	maxInflight int
 	// observeTimeout is how long an /observe request may wait for an
 	// admission slot under the Block/Sample policies before it is shed
-	// with 503 (Drop sheds immediately with 429).
+	// with 503 (1s; Drop sheds immediately with 429).
 	observeTimeout time.Duration
 	// overflow mirrors the window's ingest overflow policy so admission
 	// control sheds the way the ingest path would.
 	overflow caesar.OverflowPolicy
-	// drainTimeout bounds every rotation the service starts itself
-	// (POST /rotate and the -rotate-every timer), like the -drain-timeout
-	// flag it comes from bounds the shutdown seal.
+	// drainTimeout bounds every seal (see rotate); the -drain-timeout flag
+	// it comes from also bounds the shutdown connection drain.
 	drainTimeout time.Duration
 	// snapHooks plugs internal/faultinject into checkpoint writes; nil in
 	// production.
@@ -51,18 +51,6 @@ func (o serveOptions) withDefaults() serveOptions {
 		o.drainTimeout = 5 * time.Second
 	}
 	return o
-}
-
-// retryAfterSeconds is the Retry-After hint on shed responses: the
-// admission wait budget rounded up to a whole second (the header's
-// resolution), so clients back off at least as long as waiting here would
-// have taken.
-func (o serveOptions) retryAfterSeconds() int {
-	secs := int((o.observeTimeout + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }
 
 // admit claims an in-flight slot for an /observe request. On success the
@@ -94,13 +82,14 @@ func (s *server) admit(r *http.Request) (release func(), status int) {
 func (s *server) releaseSlot() { <-s.inflight }
 
 // shed records a rejected /observe request in the service-level ledger and
-// answers it with Retry-After and a structured error. Shed packets never
-// reach the window, so the service-wide invariant is
+// answers it with a structured error and Retry-After: 1, the daemon's
+// admission wait in whole seconds. Shed packets never reach the window,
+// so the idle service-wide invariant is
 // presented == NumPackets + DroppedPackets + shedPackets.
 func (s *server) shed(rw http.ResponseWriter, status, packets int) {
 	s.shedRequests.Add(1)
 	s.shedPackets.Add(uint64(packets))
-	rw.Header().Set("Retry-After", strconv.Itoa(s.opts.retryAfterSeconds()))
+	rw.Header().Set("Retry-After", "1")
 	httpError(rw, status, "ingest at capacity (%d in-flight): %d packets shed under the %s policy",
 		s.opts.maxInflight, packets, s.opts.overflow)
 }

@@ -114,7 +114,7 @@ func TestChaosServeSupervisorRecovery(t *testing.T) {
 	srv = newServer(w, serveOptions{})
 	sup := supervise.New(supervise.Config{
 		Probe:   srv.probe,
-		Rotate:  srv.rotateContext,
+		Rotate:  srv.rotate,
 		Backoff: backoff.Policy{Base: 100 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0},
 		Seed:    17,
 		Log:     srv.events,
@@ -512,6 +512,89 @@ func TestChaosServeCheckpointFailure(t *testing.T) {
 	}
 }
 
+// TestChaosServeCheckpointCountsInFlightObserve parks one /observe batch
+// inside the window's ingest and checkpoints under it. The batch is already
+// in the open epoch, which the checkpoint does not hold, so the meta
+// sidecar must already count it: a crash at that instant loses exactly
+// that batch, and reconciling the checkpoint must say so.
+func TestChaosServeCheckpointCountsInFlightObserve(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "state.csnp")
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	unpark := func() { once.Do(func() { close(release) }) }
+	var hooked atomic.Bool
+	w := chaosWindow(t, caesar.ShardedOptions{Hooks: caesar.ShardedHooks{
+		BeforeEnqueue: func(shard, packets int) bool {
+			if hooked.CompareAndSwap(false, true) {
+				close(parked)
+				<-release // park the first full batch inside ObserveBatch
+			}
+			return true
+		},
+	}})
+	srv := newServer(w, serveOptions{snapPath: snap})
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	defer unpark() // runs first: ts.Close waits for in-flight handlers
+
+	// One flow, so all 512 packets route to one shard and fill its batch.
+	flows := make([]caesar.FlowID, 512)
+	for i := range flows {
+		flows[i] = 7
+	}
+	body, err := json.Marshal(observeRequest{Flows: flows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	posted := make(chan int, 1)
+	go func() {
+		resp, err := ts.Client().Post(ts.URL+"/observe", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			posted <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		posted <- resp.StatusCode
+	}()
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the /observe batch never reached the window")
+	}
+
+	snapErr := srv.snapshot()
+	unpark()
+	if code := <-posted; code != http.StatusOK {
+		t.Fatalf("parked /observe: status %d, want 200", code)
+	}
+	if snapErr != nil {
+		t.Fatal(snapErr)
+	}
+	m, err := readMeta(metaPath(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Ingested != 512 {
+		t.Fatalf("meta ingested = %d while a 512-packet batch sat in the open epoch, want 512", m.Ingested)
+	}
+	f, err := os.Open(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	restored, err := caesar.ReadShardedWindow(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	if rep := buildReconciliation(snap, restored); rep.LostPackets != 512 {
+		t.Fatalf("reconciled lost_packets = %d, want the 512 packets of the open epoch", rep.LostPackets)
+	}
+}
+
 // TestChaosServeTimedRotationSurvivesFailure pins the -rotate-every loop
 // against a failed rotation: the first tick seals but its checkpoint write
 // fails, which lands in /events as rotate-err; the loop keeps ticking, and
@@ -630,20 +713,19 @@ func TestChaosServeRotateDeadline(t *testing.T) {
 		t.Fatalf("sealed epoch does not quarantine the wedged shard (ok %v, stats %+v)", ok, sealed.Stats())
 	}
 
-	// rotateMu is free again: a bounded rotation, as the supervisor and
-	// the shutdown seal run it, goes through on the fresh shards.
+	// rotateMu is free again: the next rotate, the same call the
+	// supervisor and the shutdown seal make, goes through on the fresh
+	// shards.
 	observe(t, ts, 9, 500)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
 	next := make(chan error, 1)
-	go func() { next <- srv.rotateContext(ctx) }()
+	go func() { next <- srv.rotate() }()
 	select {
 	case err := <-next:
 		if err != nil {
 			t.Fatalf("rotation after the cut-short one: %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("bounded rotateContext still blocked on rotateMu after 5s")
+		t.Fatal("bounded rotate still blocked on rotateMu after 5s")
 	}
 
 	if got := w.DroppedPackets(); got != 0 {
@@ -739,6 +821,70 @@ func TestChaosServeReconciliationSIGKILL(t *testing.T) {
 	getSmoke(t, base2, "/drops", &dr)
 	if dr.IngestedPackets != 1000 {
 		t.Fatalf("restored ingested counter = %d, want to resume at the 1000 accounted packets", dr.IngestedPackets)
+	}
+}
+
+// TestChaosServeSIGTERMSeal drives main's graceful shutdown at process
+// granularity: SIGTERM must drain, seal the open epoch and checkpoint it,
+// then exit 0, so a restart answers for every packet and reconciles no
+// loss.
+func TestChaosServeSIGTERMSeal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process-level chaos test; skipped in -short")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "caesar-serve")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	snap := filepath.Join(dir, "state.csnp")
+	args := []string{
+		"-listen", "127.0.0.1:0",
+		"-snapshot", snap,
+		"-epochs", "3", "-shards", "2",
+		"-counters", "16384", "-cache-entries", "1024", "-cache-cap", "32",
+		"-seed", "7",
+	}
+
+	// First life: 1000 packets sealed, 345 more left in the open epoch for
+	// the shutdown seal.
+	cmd, base := startServe(t, bin, args)
+	postFlowsSmoke(t, base, 0, 1000)
+	postSmoke(t, base, "/rotate")
+	postFlowsSmoke(t, base, 50, 345)
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("caesar-serve after SIGTERM: %v, want exit status 0", err)
+		}
+	case <-time.After(10 * time.Second):
+		_ = cmd.Process.Kill()
+		<-exited
+		t.Fatal("caesar-serve still running 10s after SIGTERM")
+	}
+
+	// Second life: the final checkpoint holds both epochs, and its meta
+	// sidecar accounts for every packet.
+	cmd2, base2 := startServe(t, bin, args)
+	defer func() {
+		_ = cmd2.Process.Signal(syscall.SIGTERM)
+		_ = cmd2.Wait()
+	}()
+	var hz healthzResponse
+	getSmoke(t, base2, "/healthz", &hz)
+	if hz.NumPackets != 1345 || hz.Rotations != 2 {
+		t.Fatalf("restored healthz = %+v, want num_packets 1345 and rotations 2", hz)
+	}
+	var rep reconReport
+	getSmoke(t, base2, "/reconciliation", &rep)
+	if rep.LostPackets != 0 || rep.MetaMissing {
+		t.Fatalf("reconciliation after a graceful shutdown = %+v, want lost_packets 0", rep)
 	}
 }
 

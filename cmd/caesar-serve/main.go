@@ -55,7 +55,6 @@ func main() {
 		listen       = flag.String("listen", "127.0.0.1:0", "HTTP listen address; port 0 picks a free port")
 		tracePath    = flag.String("trace", "", "CTR1 trace file to replay as the ingest source")
 		replayLoop   = flag.Bool("replay-loop", false, "restart the trace replay when it is exhausted")
-		replayPause  = flag.Duration("replay-pause", 0, "pause between replayed batches (throttles ingest)")
 		snapPath     = flag.String("snapshot", "", "checkpoint file: written after every rotation, loaded on start when present")
 		epochs       = flag.Int("epochs", 4, "sealed epochs the sliding window retains")
 		shards       = flag.Int("shards", 0, "ingest shards per epoch; 0 = GOMAXPROCS")
@@ -66,23 +65,12 @@ func main() {
 		seed         = flag.Uint64("seed", 1, "base hash seed; epochs derive theirs from it")
 
 		overflow        = flag.String("overflow", "block", "ingest overflow policy: block, drop, or sample")
-		flowHash        = flag.String("flow-hash", "sha1", "tuple flow-ID derivation: sha1 (paper-faithful) or fast (keyed SipHash)")
-		maxBody         = flag.Int64("max-body", 1<<20, "POST /observe body size cap in bytes")
-		maxInflight     = flag.Int("max-inflight", 64, "concurrently admitted /observe requests before shedding")
-		observeTimeout  = flag.Duration("observe-timeout", time.Second, "how long a shed-candidate /observe may wait for admission (block/sample policies)")
-		drainTimeout    = flag.Duration("drain-timeout", 5*time.Second, "bound on the SIGTERM connection drain and on every seal: final, timed, and POST /rotate")
-		checkEvery      = flag.Duration("check-every", 250*time.Millisecond, "supervisor health probe interval")
+		drainTimeout    = flag.Duration("drain-timeout", 5*time.Second, "bound on the SIGTERM connection drain and on every seal: final, timed, supervisor recovery, and POST /rotate")
 		checkpointEvery = flag.Duration("checkpoint-every", 0, "supervisor checkpoint cadence; 0 = checkpoint only on rotation")
-		backoffBase     = flag.Duration("backoff-base", backoff.DefaultBase, "first delay between supervisor recovery rotations")
-		backoffMax      = flag.Duration("backoff-max", backoff.DefaultMax, "cap on the recovery rotation backoff")
 	)
 	flag.Parse()
 
 	pol, err := parseOverflow(*overflow)
-	if err != nil {
-		log.Fatalf("caesar-serve: %v", err)
-	}
-	fh, err := parseFlowHash(*flowHash)
 	if err != nil {
 		log.Fatalf("caesar-serve: %v", err)
 	}
@@ -92,7 +80,6 @@ func main() {
 	var srvCell atomic.Pointer[server]
 	shOpts := caesar.ShardedOptions{
 		OverflowPolicy: pol,
-		FlowHash:       fh,
 		Hooks: caesar.ShardedHooks{
 			OnQuarantine: func(shard int, reason string) {
 				if s := srvCell.Load(); s != nil {
@@ -114,12 +101,9 @@ func main() {
 	defer w.Close()
 
 	srv := newServer(w, serveOptions{
-		snapPath:       *snapPath,
-		maxBody:        *maxBody,
-		maxInflight:    *maxInflight,
-		observeTimeout: *observeTimeout,
-		drainTimeout:   *drainTimeout,
-		overflow:       pol,
+		snapPath:     *snapPath,
+		drainTimeout: *drainTimeout,
+		overflow:     pol,
 	})
 	srvCell.Store(srv)
 	if restored {
@@ -131,19 +115,12 @@ func main() {
 
 	sup := supervise.New(supervise.Config{
 		Probe:           srv.probe,
-		Rotate:          srv.rotateContext,
+		Rotate:          srv.rotate,
 		Checkpoint:      srv.snapshot,
-		RotateTimeout:   *drainTimeout,
 		CheckpointEvery: *checkpointEvery,
-		CheckEvery:      *checkEvery,
-		Backoff: backoff.Policy{
-			Base:   *backoffBase,
-			Max:    *backoffMax,
-			Factor: backoff.DefaultFactor,
-			Jitter: backoff.DefaultJitter,
-		},
-		Seed: *seed,
-		Log:  srv.events,
+		Backoff:         backoff.Policy{Jitter: backoff.DefaultJitter},
+		Seed:            *seed,
+		Log:             srv.events,
 	})
 	srv.setSupervisor(sup)
 	supCtx, stopSup := context.WithCancel(context.Background())
@@ -160,7 +137,7 @@ func main() {
 			log.Fatalf("caesar-serve: %v", err)
 		}
 		srv.addCandidates(trace.SortedFlowIDs(tr.Truth))
-		go replay(w, tr, *replayLoop, *replayPause, stopReplay, replayDone, srv.noteIngested)
+		go replay(w, tr, *replayLoop, stopReplay, replayDone, srv.noteIngested)
 		log.Printf("caesar-serve: replaying %d packets over %d flows from %s (loop=%v)",
 			tr.NumPackets(), tr.NumFlows(), *tracePath, *replayLoop)
 	} else {
@@ -197,20 +174,18 @@ func main() {
 		<-replayDone
 		stopSup()
 		// Drain in-flight requests for at most drainTimeout, then seal and
-		// checkpoint under a fresh deadline of the same size so a wedged
-		// worker cannot hold shutdown hostage. A crash (SIGKILL) skips this
-		// path by definition — then the previous checkpoint plus the
-		// reconciliation report bound the loss.
+		// checkpoint through rotate, whose own deadline of the same size
+		// keeps a wedged worker from holding shutdown hostage. A crash
+		// (SIGKILL) skips this path by definition — then the previous
+		// checkpoint plus the reconciliation report bound the loss.
 		drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		if err := httpSrv.Shutdown(drainCtx); err != nil {
 			log.Printf("caesar-serve: drain: %v", err)
 		}
 		cancel()
-		sealCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		if err := srv.rotateContext(sealCtx); err != nil {
+		if err := srv.rotate(); err != nil {
 			log.Printf("caesar-serve: final seal: %v", err)
 		}
-		cancel()
 	}
 }
 
@@ -237,21 +212,6 @@ func parseOverflow(s string) (caesar.OverflowPolicy, error) {
 		return caesar.Sample, nil
 	}
 	return caesar.Block, fmt.Errorf("unknown overflow policy %q (want block, drop, or sample)", s)
-}
-
-// parseFlowHash maps the -flow-hash flag to the tuple flow-ID derivation.
-// Like the overflow policy, this is runtime behavior, not persisted state: a
-// window restored from a checkpoint must be given the same flow hash (and
-// seed) its packets were ingested under, or tuple queries will look up IDs
-// no counter has seen.
-func parseFlowHash(s string) (caesar.FlowHash, error) {
-	switch s {
-	case "", "sha1":
-		return caesar.FlowHashSHA1, nil
-	case "fast":
-		return caesar.FlowHashFast, nil
-	}
-	return caesar.FlowHashSHA1, fmt.Errorf("unknown flow hash %q (want sha1 or fast)", s)
 }
 
 // openWindow loads the checkpoint when one exists, otherwise builds a fresh
@@ -288,10 +248,11 @@ func loadTrace(path string) (*trace.Trace, error) {
 }
 
 // replay feeds the trace's packets through one producer handle in fixed
-// batches until the trace ends (or forever with loop), pausing between
-// batches when asked to model a slower source. note counts each batch into
-// the service's presented-packet ledger for restart reconciliation.
-func replay(w *caesar.ShardedWindow, tr *trace.Trace, loop bool, pause time.Duration, stop <-chan struct{}, done chan<- struct{}, note func(int)) {
+// batches until the trace ends (or forever with loop). note counts each
+// batch into the service's presented-packet ledger for restart
+// reconciliation, before the batch reaches the window, so a checkpoint
+// taken mid-batch never records fewer packets than the open epoch holds.
+func replay(w *caesar.ShardedWindow, tr *trace.Trace, loop bool, stop <-chan struct{}, done chan<- struct{}, note func(int)) {
 	defer close(done)
 	h := w.Ingester()
 	const batch = 512
@@ -307,15 +268,8 @@ func replay(w *caesar.ShardedWindow, tr *trace.Trace, loop bool, pause time.Dura
 			for j := i; j < i+batch && j < len(tr.Packets); j++ {
 				buf = append(buf, tr.Packets[j].Flow)
 			}
-			h.ObserveBatch(buf)
 			note(len(buf))
-			if pause > 0 {
-				select {
-				case <-stop:
-					return
-				case <-time.After(pause):
-				}
-			}
+			h.ObserveBatch(buf)
 		}
 		if !loop {
 			return

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -105,8 +104,8 @@ type reconReport struct {
 }
 
 // buildReconciliation compares the restored window against the last
-// checkpoint's meta sidecar. restoredAccounted must be sampled before any
-// post-restart ingest.
+// checkpoint's meta sidecar. It must run before any post-restart ingest,
+// which would count into the restored window's accounted total.
 func buildReconciliation(snapPath string, w *caesar.ShardedWindow) reconReport {
 	restored := w.NumPackets() + w.DroppedPackets()
 	rep := reconReport{
@@ -117,12 +116,9 @@ func buildReconciliation(snapPath string, w *caesar.ShardedWindow) reconReport {
 	}
 	m, err := readMeta(metaPath(snapPath))
 	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			// A torn or corrupt meta file: reconcile conservatively, as if
-			// it were missing, rather than refusing to start.
-			rep.MetaMissing = true
-			return rep
-		}
+		// A missing meta file, or a torn or corrupt one: reconcile
+		// conservatively, as if it were missing, rather than refusing to
+		// start.
 		rep.MetaMissing = true
 		return rep
 	}

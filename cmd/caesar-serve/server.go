@@ -47,9 +47,11 @@ type server struct {
 	inflight chan struct{}
 
 	// Service-level accounting. ingested counts every packet presented to
-	// the window (admitted /observe + trace replay); shed* count requests
-	// admission control rejected, whose packets never reached the window.
-	// Together: presented == NumPackets + DroppedPackets + shedPackets.
+	// the window (admitted /observe + trace replay), before the packets
+	// are handed over; shed* count requests admission control rejected,
+	// whose packets never reached the window. Together:
+	// presented >= NumPackets + DroppedPackets + shedPackets at every
+	// instant, with equality once the window is idle.
 	ingested     atomic.Uint64
 	shedPackets  atomic.Uint64
 	shedRequests atomic.Uint64
@@ -135,14 +137,24 @@ func (s *server) candidates() []caesar.FlowID {
 }
 
 // rotate seals the current epoch and, when configured, checkpoints the
-// window. The snapshot happens after the seal so it always includes the
-// epoch that just closed. The seal runs under the drain timeout, so a
-// wedged worker cannot hold rotateMu, and with it every later rotation
-// and the shutdown seal, forever.
+// window. It is the one seal entry: POST /rotate, the -rotate-every loop,
+// the supervisor's recovery rotations and the SIGTERM seal all call it.
+// The snapshot happens after the seal so it always includes the epoch that
+// just closed. The seal runs under the drain timeout, counted from before
+// rotateMu is taken: a seal stuck behind a wedged worker gives up at the
+// deadline (the worker is quarantined and the epoch ring stays consistent —
+// Sharded's CloseContext contract), so it cannot hold rotateMu, and with
+// it every later rotation and the shutdown seal, forever.
 func (s *server) rotate() error {
 	ctx, cancel := context.WithTimeout(context.Background(), s.opts.drainTimeout)
 	defer cancel()
-	return s.rotateContext(ctx)
+	s.rotateMu.Lock()
+	defer s.rotateMu.Unlock()
+	if err := s.w.RotateContext(ctx); err != nil {
+		return err
+	}
+	s.lastSeal.Store(time.Now().UnixNano())
+	return s.snapshot()
 }
 
 // rotateOnTicks is the -rotate-every loop: it rotates on every tick until
@@ -162,20 +174,6 @@ func (s *server) rotateOnTicks(ctx context.Context, ticks <-chan time.Time) {
 			}
 		}
 	}
-}
-
-// rotateContext is rotate under a deadline: a seal stuck behind a wedged
-// worker gives up when ctx does (the worker is quarantined and the epoch
-// ring stays consistent — Sharded's CloseContext contract), instead of
-// hanging the supervisor or the shutdown drain forever.
-func (s *server) rotateContext(ctx context.Context) error {
-	s.rotateMu.Lock()
-	defer s.rotateMu.Unlock()
-	if err := s.w.RotateContext(ctx); err != nil {
-		return err
-	}
-	s.lastSeal.Store(time.Now().UnixNano())
-	return s.snapshot()
 }
 
 // snapshot checkpoints the window crash-safely (temp file, fsync, atomic
@@ -316,7 +314,9 @@ type dropsResponse struct {
 	// Service-level shedding, additive to (not part of) the window ledger:
 	// shed packets never reached the window, so
 	// ingested_packets + shed_packets == everything presented to the
-	// service, and ingested_packets == NumPackets + DroppedPackets.
+	// service. ingested_packets counts a batch before the window takes
+	// it, so ingested_packets >= NumPackets + DroppedPackets at every
+	// instant, and the two are equal once the window is idle.
 	ShedPackets     uint64 `json:"shed_packets"`
 	ShedRequests    uint64 `json:"shed_requests"`
 	IngestedPackets uint64 `json:"ingested_packets"`
@@ -553,8 +553,8 @@ func (s *server) handleObserve(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	s.ingest.ObserveBatch(flows)
 	s.noteIngested(len(flows))
+	s.ingest.ObserveBatch(flows)
 	s.addCandidates(flows)
 	b.writeObserved(rw, len(flows))
 }

@@ -55,7 +55,7 @@ func shutsDown(ctx context.Context) error {
 }
 
 // The supervisor recovery APIs (supervise.Supervisor.ForceRotate and
-// Checkpoint, serve's rotateContext) return the only evidence that a
+// Checkpoint, serve's rotate) return the only evidence that a
 // recovery action failed — a dropped error here means the service believes
 // it healed when it did not. These mirror-shaped methods pin the analyzer
 // to the self-healing service layer's contract; Kick and Step are

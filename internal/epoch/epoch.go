@@ -64,11 +64,6 @@ func (l *Lifecycle[C, S]) Capacity() int { return l.capacity }
 // Current returns the current (still-ingesting) epoch.
 func (l *Lifecycle[C, S]) Current() C { return l.cur }
 
-// SetCurrent replaces the current epoch without sealing — used by the
-// double-buffered rotation, which must make the next epoch visible to
-// producers *before* the seal barrier drains the old one.
-func (l *Lifecycle[C, S]) SetCurrent(c C) { l.cur = c }
-
 // Len returns how many sealed epochs currently back queries.
 func (l *Lifecycle[C, S]) Len() int { return l.n }
 

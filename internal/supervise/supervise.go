@@ -6,8 +6,11 @@
 // in), so rotation is the recovery action. Rotations are spaced by a
 // seeded, jittered exponential backoff so a crash-looping shard cannot
 // cause a rotation storm, and every action is appended to an ops-visible
-// EventLog. The same loop drives a periodic checkpoint cadence so a crash
-// loses at most one checkpoint interval of sealed state.
+// EventLog. The same loop can checkpoint on a cadence. Sealed epochs change
+// only at a rotation, and the daemon checkpoints after every rotation, so a
+// cadence checkpoint adds a fresh accounting record (a restart then counts
+// the open epoch's loss up to the last cadence) and retries a post-rotation
+// checkpoint that failed.
 //
 // The loop is split into a pure, clock-parameterized Step(now) — which
 // tests drive with a fake clock to assert exact recovery schedules — and
@@ -44,15 +47,14 @@ type Probe struct {
 type Config struct {
 	// Probe returns the current health observation. Called once per Step.
 	Probe func() Probe
-	// Rotate forces an early seal+rotate of the live epoch. Called under
-	// RotateTimeout when a probe reports unhealthy and the backoff allows.
-	Rotate func(ctx context.Context) error
+	// Rotate forces an early seal+rotate of the live epoch and bounds the
+	// seal itself. Called when a probe reports unhealthy and the backoff
+	// allows.
+	Rotate func() error
 	// Checkpoint persists a snapshot. Optional; called every
 	// CheckpointEvery when set.
 	Checkpoint func() error
 
-	// RotateTimeout bounds one recovery rotation (default 5s).
-	RotateTimeout time.Duration
 	// CheckpointEvery is the checkpoint cadence; 0 disables periodic
 	// checkpoints (the daemon still checkpoints on rotation and shutdown).
 	CheckpointEvery time.Duration
@@ -105,9 +107,6 @@ var errNoRotate = errors.New("supervise: Config.Rotate is nil")
 // New returns a supervisor over cfg. It does not start the loop; call Run
 // (or drive Step from a test clock).
 func New(cfg Config) *Supervisor {
-	if cfg.RotateTimeout <= 0 {
-		cfg.RotateTimeout = 5 * time.Second
-	}
 	if cfg.CheckEvery <= 0 {
 		cfg.CheckEvery = 250 * time.Millisecond
 	}
@@ -191,7 +190,7 @@ func (s *Supervisor) Step(now time.Time) {
 	}
 
 	if due {
-		if err := s.ForceRotate(context.Background()); err != nil {
+		if err := s.ForceRotate(); err != nil {
 			s.log.Append(KindRotateErr, "forced rotation failed: %v", err)
 		}
 	}
@@ -202,18 +201,17 @@ func (s *Supervisor) Step(now time.Time) {
 	}
 }
 
-// ForceRotate seals and rotates the live epoch under RotateTimeout,
-// recording the action in the event log. Exported so the daemon (and
-// operators via POST /rotate) share the supervisor's accounting; the
-// returned error must be checked — an unnoticed failed recovery defeats
-// the supervisor's purpose.
-func (s *Supervisor) ForceRotate(ctx context.Context) error {
+// ForceRotate seals and rotates the live epoch through Config.Rotate,
+// recording the action in the event log and the Rotations count. Step
+// calls it for recovery rotations; rotations the daemon starts itself
+// (POST /rotate, its timer, shutdown) call the seal directly and are not
+// counted here. The returned error must be checked — an unnoticed failed
+// recovery defeats the supervisor's purpose.
+func (s *Supervisor) ForceRotate() error {
 	if s.cfg.Rotate == nil {
 		return errNoRotate
 	}
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.RotateTimeout)
-	defer cancel()
-	if err := s.cfg.Rotate(ctx); err != nil {
+	if err := s.cfg.Rotate(); err != nil {
 		return err
 	}
 	s.mu.Lock()

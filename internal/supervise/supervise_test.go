@@ -65,7 +65,7 @@ func (sc *scripted) config(c *fakeClock, p backoff.Policy) Config {
 		Probe: func() Probe {
 			return Probe{Healthy: sc.healthy.Load(), Detail: "quarantined (1 shard)"}
 		},
-		Rotate: func(ctx context.Context) error {
+		Rotate: func() error {
 			if sc.rotateErr != nil {
 				return sc.rotateErr
 			}
@@ -227,7 +227,7 @@ func TestStepCheckpointFailureLogged(t *testing.T) {
 
 func TestForceRotateWithoutRotateFails(t *testing.T) {
 	s := New(Config{Probe: func() Probe { return Probe{Healthy: true} }})
-	if err := s.ForceRotate(context.Background()); err == nil {
+	if err := s.ForceRotate(); err == nil {
 		t.Fatal("ForceRotate with nil Rotate succeeded")
 	}
 }
