@@ -14,7 +14,7 @@ test:
 	$(GO) test ./...
 
 # -short skips the expensive internal/expt experiment sweeps under the race
-# detector; the race-focused tests (Sharded Observe/Close stress) still run.
+# detector; the race-focused tests (shard-set Observe/Close stress) still run.
 race:
 	$(GO) test -race -short ./...
 
@@ -82,8 +82,14 @@ fuzz-smoke:
 # Verifies the committed CSNP golden fixtures still round-trip byte for byte
 # (writer) and bit for bit (reader). Regenerate intentionally-changed
 # fixtures with: go test ./internal/sketch -run TestSnapshotGolden -update
+# The second line restores testdata/shardedwindow.csnp, the daemon
+# checkpoint fixture (TestShardedWindowGoldenCheckpoint): its pinned
+# estimates and ledger must hold, and today's writer must emit its payload
+# unchanged ahead of the FlowHash section. That fixture is never
+# regenerated.
 snapshot-compat:
 	$(GO) test -run=TestSnapshotGoldenCompat -count=1 ./internal/sketch
+	$(GO) test -run=TestShardedWindowGoldenCheckpoint -count=1 .
 
 # Statistical gates on the flow-ID stage (internal/hashing/quality_test.go):
 # per-input-bit avalanche for the fast keyed hash, the SHA-1 derivation, and
@@ -94,16 +100,17 @@ hashquality:
 	$(GO) test -run 'TestHashQuality' -count=1 ./internal/hashing
 
 # Fast perf gate for CI: no hot path may allocate — single-sketch ingest
-# (TestSketchObserveZeroAllocs), sharded line-rate ingest
-# (TestIngestZeroAllocs), bulk query (TestEstimateManyZeroAllocs), the
-# windowed bulk query (TestShardedWindowEstimateManyZeroAllocs), and the
-# fused tuple-block path (TestFlowIDZeroAllocs, plus the FlowIDer scratch
-# gate in internal/hashing) and caesar-serve's /observe body scanner
+# (TestSketchObserveZeroAllocs), sharded line-rate ingest through the window
+# handle (TestIngestZeroAllocs), bulk query (TestEstimateManyZeroAllocs), the
+# windowed bulk query (TestShardedWindowEstimateManyZeroAllocs), the
+# per-epoch EpochView bulk query (TestShardedEstimateManyZeroAllocsSteadyState),
+# and the fused tuple-block path (TestFlowIDZeroAllocs, plus the FlowIDer
+# scratch gate in internal/hashing) and caesar-serve's /observe body scanner
 # (TestObserveScanZeroAllocs) are deterministic gates; the bench runs also
 # surface the ns/op trend — including the fast flow-ID hash — in the job
 # log.
 bench-smoke:
-	$(GO) test -run='TestSketchObserveZeroAllocs|TestEstimateManyZeroAllocs|TestShardedWindowEstimateManyZeroAllocs|TestIngestZeroAllocs|TestFlowIDZeroAllocs' -count=1 .
+	$(GO) test -run='TestSketchObserveZeroAllocs|TestEstimateManyZeroAllocs|TestShardedWindowEstimateManyZeroAllocs|TestShardedEstimateManyZeroAllocsSteadyState|TestIngestZeroAllocs|TestFlowIDZeroAllocs' -count=1 .
 	$(GO) test -run='TestFlowIDerZeroAllocs' -count=1 ./internal/hashing
 	$(GO) test -run='TestObserveScanZeroAllocs' -count=1 ./cmd/caesar-serve
 	$(GO) test -run='^$$' -bench='BenchmarkSketchObserve$$' -benchtime=100x -benchmem .

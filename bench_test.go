@@ -211,9 +211,9 @@ func shardedIngestConfig() Config {
 
 // BenchmarkShardedObserveParallelMutex is the global-serialization
 // baseline: every producer goroutine funnels packets through one shared
-// Ingester handle, so all of them contend on its mutex.
+// ingest handle, so all of them contend on its mutex.
 func BenchmarkShardedObserveParallelMutex(b *testing.B) {
-	s, err := NewSharded(4, shardedIngestConfig())
+	s, err := newTestSharded(4, shardedIngestConfig(), ShardedOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func BenchmarkShardedObserveParallelMutex(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			h.Observe(FlowID(i & 1023))
+			h.observe([]FlowID{FlowID(i & 1023)}, nil)
 			i++
 		}
 	})
@@ -231,13 +231,13 @@ func BenchmarkShardedObserveParallelMutex(b *testing.B) {
 }
 
 // BenchmarkShardedObserveParallel measures contention-free parallel ingest:
-// every producer goroutine holds its own Ingester handle and delivers
+// every producer goroutine holds its own ingest handle and delivers
 // packets the way a NIC ring hands them to a poll loop — in small batches —
 // so the packet path touches no shared state until a shard batch fills.
 // Same traffic, same resulting sketch state as the Mutex baseline above;
 // only the ingest path differs.
 func BenchmarkShardedObserveParallel(b *testing.B) {
-	s, err := NewSharded(4, shardedIngestConfig())
+	s, err := newTestSharded(4, shardedIngestConfig(), ShardedOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -251,11 +251,11 @@ func BenchmarkShardedObserveParallel(b *testing.B) {
 			n++
 			i++
 			if n == len(ring) {
-				h.ObserveBatch(ring[:n])
+				h.observe(ring[:n], nil)
 				n = 0
 			}
 		}
-		h.ObserveBatch(ring[:n])
+		h.observe(ring[:n], nil)
 	})
 	b.StopTimer()
 	s.Close()
@@ -289,24 +289,6 @@ func BenchmarkEstimateCSM(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = est.Estimate(FlowID(i%5000), CSM)
-	}
-}
-
-// BenchmarkWindowRotate measures epoch sealing in the sliding window.
-func BenchmarkWindowRotate(b *testing.B) {
-	w, err := NewWindow(4, Config{Counters: 1 << 12, CacheEntries: 256, CacheCapacity: 32, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 100; j++ {
-			w.Observe(FlowID(j))
-		}
-		if err := w.Rotate(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -90,35 +90,49 @@ func TestEstimateManyZeroAllocs(t *testing.T) {
 	}
 }
 
+// sealedEpoch ingests every flow sizes[i] times into a one-epoch window of
+// the given shard count, seals it with Close, and returns the sealed
+// epoch's view.
+func sealedEpoch(t *testing.T, shards int, flows []FlowID, sizes []int) EpochView {
+	t.Helper()
+	w, err := NewShardedWindow(1, shards, shardedConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := w.Ingester()
+	for i, f := range flows {
+		for j := 0; j < sizes[i]; j++ {
+			h.Observe(f)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	view, ok := w.LastSealed()
+	if !ok {
+		t.Fatal("no sealed epoch after Close")
+	}
+	return view
+}
+
+// TestShardedEstimateManyBitIdentical pins a sealed epoch's bulk queries,
+// the window's grouped-sum path over a one-epoch list, to the epoch's
+// scalar Estimate at 1 and 4 shards and every worker count.
 func TestShardedEstimateManyBitIdentical(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		s, err := NewSharded(shards, shardedConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
 		flows, sizes := bulkAPIFlows(1024)
-		h := s.Ingester()
-		for i, f := range flows {
-			for j := 0; j < sizes[i]; j++ {
-				h.Observe(f)
-			}
-		}
-		s.Close()
-		est, err := s.Estimator()
-		if err != nil {
-			t.Fatal(err)
-		}
+		view := sealedEpoch(t, shards, flows, sizes)
 		for _, m := range []Method{CSM, MLM} {
-			got := est.EstimateMany(flows, m, nil)
+			got := view.EstimateMany(flows, m, nil)
 			for i, f := range flows {
-				want := est.Estimate(f, m)
+				want := view.Estimate(f, m)
 				if math.Float64bits(got[i]) != math.Float64bits(want) {
 					t.Fatalf("shards=%d method %v flow %d: EstimateMany %v, Estimate %v",
 						shards, m, f, got[i], want)
 				}
 			}
 			for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0), 0} {
-				par := est.QueryAll(flows, m, workers, nil)
+				par := view.QueryAll(flows, m, workers, nil)
 				for i := range flows {
 					if math.Float64bits(par[i]) != math.Float64bits(got[i]) {
 						t.Fatalf("shards=%d method %v workers %d flow %d: QueryAll differs",
@@ -129,53 +143,74 @@ func TestShardedEstimateManyBitIdentical(t *testing.T) {
 		}
 		// dst reuse: same backing array returned.
 		dst := make([]float64, len(flows))
-		if out := est.EstimateMany(flows, CSM, dst); &out[0] != &dst[0] {
+		if out := view.EstimateMany(flows, CSM, dst); &out[0] != &dst[0] {
 			t.Fatalf("shards=%d: EstimateMany did not reuse dst", shards)
 		}
 	}
 }
 
+// TestShardedEstimateManyZeroAllocsSteadyState is the epoch view's
+// bulk-query allocation gate, wired into `make bench-smoke`: with a reused
+// dst, an epoch's bulk query allocates nothing once the window's query
+// scratch is warm.
 func TestShardedEstimateManyZeroAllocsSteadyState(t *testing.T) {
-	s, err := NewSharded(4, shardedConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	flows, _ := bulkAPIFlows(1024)
-	h := s.Ingester()
-	for _, f := range flows {
-		h.Observe(f)
-	}
-	s.Close()
-	est, err := s.Estimator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float64, len(flows))
-	est.EstimateMany(flows, CSM, dst) // warm the grouping scratch
-	if allocs := testing.AllocsPerRun(20, func() {
-		est.EstimateMany(flows, CSM, dst)
-	}); allocs != 0 {
-		t.Fatalf("sharded EstimateMany allocated %.1f times per run in steady state", allocs)
+	for _, shards := range []int{1, 4} {
+		flows, _ := bulkAPIFlows(1024)
+		sizes := make([]int, len(flows))
+		for i := range sizes {
+			sizes[i] = 1
+		}
+		view := sealedEpoch(t, shards, flows, sizes)
+		dst := make([]float64, len(flows))
+		for _, m := range []Method{CSM, MLM} {
+			view.EstimateMany(flows, m, dst) // warm the grouping scratch
+			if allocs := testing.AllocsPerRun(20, func() {
+				view.EstimateMany(flows, m, dst)
+			}); allocs != 0 {
+				t.Fatalf("shards=%d method %v: epoch EstimateMany allocated %.1f times per run in steady state",
+					shards, m, allocs)
+			}
+		}
 	}
 }
 
+// TestEpochViewQueryReleasesEpoch pins that an epoch view's bulk query
+// leaves no reference to its epoch in the window's query scratch: a view
+// can outlive its epoch's place in the ring, and the scratch must not keep
+// a retired epoch reachable.
+func TestEpochViewQueryReleasesEpoch(t *testing.T) {
+	flows, sizes := bulkAPIFlows(64)
+	view := sealedEpoch(t, 2, flows, sizes)
+	view.EstimateMany(flows, CSM, nil)
+	for i, we := range view.w.epochScratch[:cap(view.w.epochScratch)] {
+		if we != nil {
+			t.Fatalf("query scratch slot %d still holds epoch %d", i, we.rotation)
+		}
+	}
+}
+
+// TestWindowEstimateManyBitIdentical pins a one-shard window's bulk query,
+// the path with nothing to group, to its scalar Estimate loop, with the
+// open epoch's traffic excluded from both.
 func TestWindowEstimateManyBitIdentical(t *testing.T) {
-	w, err := NewWindow(3, windowConfig())
+	w, err := NewShardedWindow(3, 1, windowConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
 	flows, sizes := bulkAPIFlows(512)
+	h := w.Ingester()
 	for epoch := 0; epoch < 3; epoch++ {
 		for i, f := range flows {
 			for j := 0; j < 1+sizes[i]%3+epoch; j++ {
-				w.Observe(f)
+				h.Observe(f)
 			}
 		}
 		if err := w.Rotate(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	w.Observe(flows[0]) // current epoch: must stay excluded, as in Estimate
+	h.Observe(flows[0]) // current epoch: must stay excluded, as in Estimate
 	for _, m := range []Method{CSM, MLM} {
 		got := w.EstimateMany(flows, m, nil)
 		for i, f := range flows {
@@ -188,11 +223,12 @@ func TestWindowEstimateManyBitIdentical(t *testing.T) {
 }
 
 func TestWindowEstimateManyNoSealedEpochs(t *testing.T) {
-	w, err := NewWindow(2, windowConfig())
+	w, err := NewShardedWindow(2, 1, windowConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Observe(5)
+	defer w.Close()
+	w.Ingester().Observe(5)
 	out := w.EstimateMany([]FlowID{5, 6}, CSM, nil)
 	if out[0] != 0 || out[1] != 0 {
 		t.Fatalf("unsealed-only window must estimate zeros, got %v", out)

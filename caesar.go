@@ -23,6 +23,12 @@
 //	est := sk.Estimator()
 //	size, interval := est.EstimateWithInterval(flowID, 0.95)
 //
+// Sketch is single-threaded. ShardedWindow is the concurrent surface: a
+// sliding window of epochs, each ingested by a shard set with one worker
+// goroutine per shard, queryable while it ingests, and checkpointed with
+// WriteTo and ReadShardedWindow. A one-epoch window is the plain parallel
+// sketch.
+//
 // The internal packages additionally implement the paper's baselines (RCS,
 // CASE with its DISCO compression substrate), a synthetic heavy-tailed
 // trace generator standing in for the paper's backbone capture, a hardware
@@ -124,7 +130,8 @@ type Stats struct {
 	// accounting (count bits only for the cache).
 	CacheKB, SRAMKB float64
 
-	// The remaining fields are populated only by Sharded.Stats: the loss
+	// The remaining fields are populated only by ShardedWindow.Stats (and
+	// EpochView.Stats): the loss
 	// ledger and worker-pool health of the overload-hardened ingest path
 	// (docs/ROBUSTNESS.md). Every packet handed to an ingest entry point is
 	// either counted in Packets (applied to a shard sketch) or in exactly
@@ -144,8 +151,8 @@ type Stats struct {
 	// DroppedQuarantine counts packets abandoned by (or routed to) a shard
 	// whose worker was quarantined after a panic.
 	DroppedQuarantine uint64
-	// DroppedTimeout counts packets given up on by a CloseContext or
-	// FlushContext deadline.
+	// DroppedTimeout counts packets given up on by a RotateContext or
+	// CloseContext deadline.
 	DroppedTimeout uint64
 	// DroppedAfterClose counts packets observed through a handle after
 	// Close — a documented counted no-op, not a panic.
@@ -159,7 +166,7 @@ type Stats struct {
 	// quarantined; Health summarizes it.
 	QuarantinedShards int
 	// Health is the worker pool's failure state (Healthy when this Stats
-	// did not come from a Sharded sketch).
+	// did not come from a ShardedWindow).
 	Health Health
 	// EffectiveLossRate is DroppedPackets/(DroppedPackets+Packets) — the
 	// ingest path's measured analogue of the paper's RCS loss rate ρ.
@@ -167,7 +174,8 @@ type Stats struct {
 }
 
 // Sketch is a CAESAR sketch in its online construction phase. It is not
-// safe for concurrent use; shard by flow for parallel ingest.
+// safe for concurrent use; ShardedWindow shards flows across worker
+// goroutines for parallel ingest.
 type Sketch struct {
 	s *core.Sketch
 }

@@ -39,7 +39,7 @@ func chaosConfig() Config {
 }
 
 // assertAccounting pins the exactly-once-or-counted invariant after Close.
-func assertAccounting(t *testing.T, s *Sharded, observed uint64) Stats {
+func assertAccounting(t *testing.T, s *sharded, observed uint64) Stats {
 	t.Helper()
 	st := s.Stats()
 	if got := s.NumPackets() + st.DroppedPackets; got != observed {
@@ -54,11 +54,43 @@ func assertAccounting(t *testing.T, s *Sharded, observed uint64) Stats {
 }
 
 // drive feeds n packets over nFlows flows through one handle.
-func drive(s *Sharded, n, nFlows int) {
+func drive(s *sharded, n, nFlows int) {
 	h := s.Ingester()
+	for i := 0; i < n; i++ {
+		h.observe([]FlowID{FlowID(i % nFlows)}, nil)
+	}
+}
+
+// driveWindow feeds n packets over nFlows flows through one window handle.
+func driveWindow(w *ShardedWindow, n, nFlows int) {
+	h := w.Ingester()
 	for i := 0; i < n; i++ {
 		h.Observe(FlowID(i % nFlows))
 	}
+}
+
+// quarantineLog records the OnQuarantine hook's reason per shard, the one
+// place a quarantined shard's cause is reported.
+type quarantineLog struct {
+	mu      sync.Mutex
+	reasons map[int]string
+}
+
+func (q *quarantineLog) record(shard int, reason string) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.reasons == nil {
+		q.reasons = make(map[int]string)
+	}
+	q.reasons[shard] = reason
+}
+
+// reason returns the reason shard was quarantined for, and whether it was.
+func (q *quarantineLog) reason(shard int) (string, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	r, ok := q.reasons[shard]
+	return r, ok
 }
 
 // TestChaosDropPolicyOverflow forces queue overflow with a slow consumer
@@ -66,7 +98,7 @@ func drive(s *Sharded, n, nFlows int) {
 // balance exactly.
 func TestChaosDropPolicyOverflow(t *testing.T) {
 	inj := faultinject.New(1)
-	s, err := NewShardedOptions(2, chaosConfig(), ShardedOptions{
+	s, err := newTestSharded(2, chaosConfig(), ShardedOptions{
 		batchSize:      16,
 		queueDepth:     1,
 		OverflowPolicy: Drop,
@@ -95,7 +127,7 @@ func TestChaosDropPolicyOverflow(t *testing.T) {
 // the sketch.
 func TestChaosSamplePolicyOverflow(t *testing.T) {
 	inj := faultinject.New(2)
-	s, err := NewShardedOptions(2, chaosConfig(), ShardedOptions{
+	s, err := newTestSharded(2, chaosConfig(), ShardedOptions{
 		batchSize:      16,
 		queueDepth:     1,
 		OverflowPolicy: Sample,
@@ -122,7 +154,7 @@ func TestChaosSamplePolicyOverflow(t *testing.T) {
 func TestChaosInjectedBatchDrop(t *testing.T) {
 	inj := faultinject.New(3)
 	const batch = 32
-	s, err := NewShardedOptions(2, chaosConfig(), ShardedOptions{
+	s, err := newTestSharded(2, chaosConfig(), ShardedOptions{
 		batchSize: batch,
 		Hooks:     ShardedHooks{BeforeEnqueue: inj.DropBatches(0.3)},
 	})
@@ -147,7 +179,7 @@ func TestChaosInjectedBatchDrop(t *testing.T) {
 // packet may be lost — stalls reorder time, not accounting.
 func TestChaosQueueStall(t *testing.T) {
 	inj := faultinject.New(4)
-	s, err := NewShardedOptions(2, chaosConfig(), ShardedOptions{
+	s, err := newTestSharded(2, chaosConfig(), ShardedOptions{
 		batchSize: 16,
 		Hooks:     ShardedHooks{BeforeEnqueue: inj.StallQueues(0.05, time.Millisecond)},
 	})
@@ -169,14 +201,15 @@ func TestChaosQueueStall(t *testing.T) {
 // TestChaosWorkerPanicQuarantine panics one shard's worker mid-stream. The
 // sketch must degrade (not die): accounting stays exact including the
 // partially-applied panic batch, Health reports Degraded, the quarantined
-// shard's panic is inspectable, and the surviving shards still estimate
-// their flows accurately.
+// shard's panic reaches the OnQuarantine hook, and the surviving shards
+// still estimate their flows accurately.
 func TestChaosWorkerPanicQuarantine(t *testing.T) {
 	inj := faultinject.New(5)
 	const target = 1
-	s, err := NewShardedOptions(4, chaosConfig(), ShardedOptions{
+	var q quarantineLog
+	s, err := newTestSharded(4, chaosConfig(), ShardedOptions{
 		batchSize: 16,
-		Hooks:     ShardedHooks{OnWorkerBatch: inj.PanicWorker(target, 3)},
+		Hooks:     ShardedHooks{OnWorkerBatch: inj.PanicWorker(target, 3), OnQuarantine: q.record},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -195,10 +228,10 @@ func TestChaosWorkerPanicQuarantine(t *testing.T) {
 	if st.DroppedQuarantine == 0 {
 		t.Fatal("quarantined shard recorded no dropped traffic")
 	}
-	if reason, ok := s.ShardPanic(target); !ok || reason == "" {
-		t.Fatalf("ShardPanic(%d) = %q, %v; want the injected panic value", target, reason, ok)
+	if reason, ok := q.reason(target); !ok || reason == "" {
+		t.Fatalf("shard %d quarantine reason = %q, %v; want the injected panic value", target, reason, ok)
 	}
-	if _, ok := s.ShardPanic(target + 1); ok {
+	if _, ok := q.reason(target + 1); ok {
 		t.Fatalf("healthy shard %d reports a panic", target+1)
 	}
 
@@ -208,7 +241,7 @@ func TestChaosWorkerPanicQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Estimator on a degraded sketch: %v", err)
 	}
-	if est.EffectiveLossRate() <= 0 {
+	if st.EffectiveLossRate <= 0 {
 		t.Fatal("degraded sketch reports zero effective loss")
 	}
 	want := float64(observed / nFlows)
@@ -242,7 +275,7 @@ func TestChaosAllShardsQuarantined(t *testing.T) {
 	for i := range hooks {
 		hooks[i] = inj.PanicWorker(i, 1)
 	}
-	s, err := NewShardedOptions(2, chaosConfig(), ShardedOptions{
+	s, err := newTestSharded(2, chaosConfig(), ShardedOptions{
 		batchSize: 16,
 		Hooks: ShardedHooks{OnWorkerBatch: func(shard, packets int) {
 			hooks[shard](shard, packets)
@@ -264,17 +297,22 @@ func TestChaosAllShardsQuarantined(t *testing.T) {
 }
 
 // TestChaosCloseContextDeadline wedges a worker permanently and closes with
-// a short deadline: CloseContext must return promptly with ctx's error, and
-// the timed-out packets must be counted, not silently lost.
+// a short deadline: the deadline-bounded close (the seal of CloseContext and
+// RotateContext) must return promptly with ctx's error, and the timed-out
+// packets must be counted, not silently lost.
 func TestChaosCloseContextDeadline(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
-	s, err := NewShardedOptions(1, chaosConfig(), ShardedOptions{
+	var q quarantineLog
+	s, err := newTestSharded(1, chaosConfig(), ShardedOptions{
 		batchSize:  4,
 		queueDepth: 1,
-		Hooks: ShardedHooks{OnWorkerBatch: func(shard, packets int) {
-			<-release // wedge the worker until the test lets go
-		}},
+		Hooks: ShardedHooks{
+			OnWorkerBatch: func(shard, packets int) {
+				<-release // wedge the worker until the test lets go
+			},
+			OnQuarantine: q.record,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -282,22 +320,23 @@ func TestChaosCloseContextDeadline(t *testing.T) {
 	defer once.Do(func() { close(release) })
 
 	const observed = 64
-	// CloseContext faces the deadlock scenario it exists for: the blocked
+	// The close faces the deadlock scenario it exists for: the blocked
 	// enqueue holds the handle mutex the drain needs.
-	done := wedgeProducer(t, s.Ingester().Observe, observed)
+	h := s.Ingester()
+	done := wedgeProducer(t, func(f FlowID) { h.observe([]FlowID{f}, nil) }, observed)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err = s.CloseContext(ctx)
+	err = s.closeWith(ctx)
 	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("CloseContext = %v, want a DeadlineExceeded-wrapped error", err)
+		t.Fatalf("closeWith = %v, want a DeadlineExceeded-wrapped error", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("CloseContext took %v against a 50ms deadline", elapsed)
+		t.Fatalf("closeWith took %v against a 50ms deadline", elapsed)
 	}
 	// The wedged shard must have been quarantined rather than waited for.
-	if reason, ok := s.ShardPanic(0); !ok || reason == "" {
+	if reason, ok := q.reason(0); !ok || reason == "" {
 		t.Fatalf("wedged shard not quarantined by the timed-out close (reason %q, ok %v)", reason, ok)
 	}
 	// Until its worker exits the wedged shard has no query view: its flows
@@ -333,8 +372,8 @@ func TestChaosCloseContextDeadline(t *testing.T) {
 	if st.Health != Quarantined {
 		t.Fatalf("Health = %v after abandoning the only worker, want Quarantined", st.Health)
 	}
-	if err := s.CloseContext(context.Background()); err != nil {
-		t.Fatalf("second CloseContext: %v", err)
+	if err := s.closeWith(context.Background()); err != nil {
+		t.Fatalf("second closeWith: %v", err)
 	}
 }
 
@@ -376,26 +415,30 @@ func wedgeProducer(t *testing.T, observe func(FlowID), n uint64) <-chan struct{}
 // flushed or quarantined for the deadline, the ledger must balance once
 // the workers exit, and the query view must still build.
 func TestChaosCloseContextLiveWorkers(t *testing.T) {
-	s, err := NewShardedOptions(3, chaosConfig(), ShardedOptions{batchSize: 64})
+	var q quarantineLog
+	s, err := newTestSharded(3, chaosConfig(), ShardedOptions{
+		batchSize: 64,
+		Hooks:     ShardedHooks{OnQuarantine: q.record},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const perHandle = 1000 // ~333 packets per shard: 5 full batches and 13 buffered
-	for _, h := range []*Ingester{s.Ingester(), s.Ingester()} {
+	for _, h := range []*ingester{s.Ingester(), s.Ingester()} {
 		for i := 0; i < perHandle; i++ {
-			h.Observe(FlowID(i % 97))
+			h.observe([]FlowID{FlowID(i % 97)}, nil)
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := s.CloseContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CloseContext = %v, want a Canceled-wrapped error", err)
+	if err := s.closeWith(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("closeWith = %v, want a Canceled-wrapped error", err)
 	}
 	for _, exited := range s.workerExited {
 		<-exited
 	}
 	for i, sk := range s.shards {
-		if reason, ok := s.ShardPanic(i); ok {
+		if reason, ok := q.reason(i); ok {
 			if reason != deadlineReason {
 				t.Fatalf("shard %d quarantined for %q, want the shutdown deadline", i, reason)
 			}
@@ -413,85 +456,41 @@ func TestChaosCloseContextLiveWorkers(t *testing.T) {
 	}
 }
 
-// TestChaosFlushContextDeadline fills a queue behind a wedged worker and
-// calls FlushContext with an expired context: the buffered packets must be
-// counted as timeout drops and the error returned.
-func TestChaosFlushContextDeadline(t *testing.T) {
-	release := make(chan struct{})
-	s, err := NewShardedOptions(1, chaosConfig(), ShardedOptions{
-		batchSize:  1024, // large, so packets stay in the handle buffer
-		queueDepth: 1,
-		Hooks: ShardedHooks{OnWorkerBatch: func(shard, packets int) {
-			<-release
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	h := s.Ingester()
-	const buffered = 10
-	for i := 0; i < buffered; i++ {
-		h.Observe(FlowID(i))
-	}
-	// First flush fills the queue's one slot (worker not yet wedged on it);
-	// it must succeed.
-	if err := h.FlushContext(context.Background()); err != nil {
-		t.Fatalf("first FlushContext: %v", err)
-	}
-	for i := 0; i < buffered; i++ {
-		h.Observe(FlowID(i))
-	}
-	// The worker is (or will be) wedged on the first batch and the queue
-	// slot may still be free; fill it with a second flush, then a third
-	// flush against an expired context must count its packets as drops.
-	_ = h.FlushContext(context.Background())
-	for i := 0; i < buffered; i++ {
-		h.Observe(FlowID(i))
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := h.FlushContext(ctx); err == nil {
-		t.Fatal("FlushContext with an expired context returned nil for undeliverable buffers")
-	}
-	if st := s.Stats(); st.DroppedTimeout != buffered {
-		t.Fatalf("DroppedTimeout = %d, want %d", st.DroppedTimeout, buffered)
-	}
-	close(release)
-	s.Close()
-	assertAccounting(t, s, 3*buffered)
-}
-
 // TestChaosTornSnapshotWrite exercises the crash-safe writer against every
 // snapshot fault class: a truncated payload, bit flips, and a crash before
 // rename. In every case the destination file must keep its previous good
 // content, and the loader must reject the torn bytes (when they exist)
 // without panicking.
 func TestChaosTornSnapshotWrite(t *testing.T) {
-	s, err := NewSharded(2, chaosConfig())
+	w, err := NewShardedWindow(2, 2, chaosConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	const observed = 5000
-	drive(s, observed, 97)
-	s.Close()
-	assertAccounting(t, s, observed)
+	driveWindow(w, observed, 97)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertWindowAccounting(t, w, observed)
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.csnp")
-	if err := s.SnapshotFile(path); err != nil {
+	if err := w.SnapshotFile(path); err != nil {
 		t.Fatalf("SnapshotFile: %v", err)
 	}
 	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadShardedSnapshot(bytes.NewReader(good)); err != nil {
+	loaded, err := ReadShardedWindow(bytes.NewReader(good))
+	if err != nil {
 		t.Fatalf("clean snapshot does not load: %v", err)
+	}
+	if err := loaded.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	inj := faultinject.New(7)
-	src := writerToFunc(s.Snapshot)
 	for name, hooks := range map[string]*snapfile.Hooks{
 		"truncated": {TransformPayload: faultinject.Truncate(0.5)},
 		"bitflips":  {TransformPayload: inj.FlipBits(8)},
@@ -501,7 +500,7 @@ func TestChaosTornSnapshotWrite(t *testing.T) {
 		case "crash":
 			// The injected crash happens before rename: Write must fail and
 			// the destination must still hold the previous good snapshot.
-			if err := snapfile.Write(path, src, hooks); !errors.Is(err, faultinject.ErrInjectedCrash) {
+			if err := snapfile.Write(path, w, hooks); !errors.Is(err, faultinject.ErrInjectedCrash) {
 				t.Fatalf("%s: Write = %v, want ErrInjectedCrash", name, err)
 			}
 		default:
@@ -509,7 +508,7 @@ func TestChaosTornSnapshotWrite(t *testing.T) {
 			// loader must reject them. (A real torn write dies before rename;
 			// the transform models finding such bytes on disk.)
 			corruptPath := filepath.Join(dir, name+".csnp")
-			if err := snapfile.Write(corruptPath, src, hooks); err != nil {
+			if err := snapfile.Write(corruptPath, w, hooks); err != nil {
 				t.Fatalf("%s: Write: %v", name, err)
 			}
 			corrupt, err := os.ReadFile(corruptPath)
@@ -519,7 +518,8 @@ func TestChaosTornSnapshotWrite(t *testing.T) {
 			if bytes.Equal(corrupt, good) {
 				t.Fatalf("%s: transform did not alter the snapshot", name)
 			}
-			if _, err := ReadShardedSnapshot(bytes.NewReader(corrupt)); err == nil {
+			if r, err := ReadShardedWindow(bytes.NewReader(corrupt)); err == nil {
+				_ = r.Close() // the accepted load is the failure reported here
 				t.Fatalf("%s: loader accepted torn snapshot bytes", name)
 			}
 		}
@@ -544,11 +544,12 @@ func TestChaosTornSnapshotWrite(t *testing.T) {
 }
 
 // TestChaosSnapshotCarriesLossLedger round-trips a lossy run through the
-// snapshot layer: the loaded query-only sketch must report the same drops,
-// health, and effective loss rate the construction process measured.
+// snapshot layer: the restored window must report the same drops, health,
+// and effective loss rate the construction process measured, and its
+// sealed epoch the same Stats.
 func TestChaosSnapshotCarriesLossLedger(t *testing.T) {
 	inj := faultinject.New(8)
-	s, err := NewShardedOptions(2, chaosConfig(), ShardedOptions{
+	w, err := NewShardedWindowOptions(1, 2, chaosConfig(), ShardedOptions{
 		batchSize: 16,
 		Hooks:     ShardedHooks{BeforeEnqueue: inj.DropBatches(0.3)},
 	})
@@ -556,18 +557,24 @@ func TestChaosSnapshotCarriesLossLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	const observed = 20000
-	drive(s, observed, 97)
-	s.Close()
-	want := assertAccounting(t, s, observed)
-
-	var buf bytes.Buffer
-	if _, err := s.Snapshot(&buf); err != nil {
+	driveWindow(w, observed, 97)
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadShardedSnapshot(&buf)
+	want := assertWindowAccounting(t, w, observed)
+	if want.DroppedInjected == 0 {
+		t.Fatal("no injected drops recorded; the fault was not exercised")
+	}
+
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadShardedWindow(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer loaded.Close()
 	got := loaded.Stats()
 	if got.DroppedPackets != want.DroppedPackets || got.DroppedInjected != want.DroppedInjected ||
 		got.DroppedBatches != want.DroppedBatches || got.Health != want.Health ||
@@ -577,12 +584,11 @@ func TestChaosSnapshotCarriesLossLedger(t *testing.T) {
 	if loaded.NumPackets()+got.DroppedPackets != observed {
 		t.Fatalf("loaded snapshot accounting broken: %d + %d != %d", loaded.NumPackets(), got.DroppedPackets, observed)
 	}
-	est, err := loaded.Estimator()
-	if err != nil {
-		t.Fatal(err)
+	if rho := loaded.EffectiveLossRate(); rho != want.EffectiveLossRate {
+		t.Fatalf("loaded window loss rate %v, want %v", rho, want.EffectiveLossRate)
 	}
-	if rho := est.EffectiveLossRate(); rho != want.EffectiveLossRate {
-		t.Fatalf("loaded estimator loss rate %v, want %v", rho, want.EffectiveLossRate)
+	if a, b := w.Epochs()[0].Stats(), loaded.Epochs()[0].Stats(); a != b {
+		t.Fatalf("loaded sealed epoch Stats %+v, written %+v", b, a)
 	}
 }
 
@@ -758,14 +764,18 @@ func TestChaosRotateContextDeadline(t *testing.T) {
 	var once sync.Once
 	defer once.Do(func() { close(release) })
 	var wedged atomic.Bool
+	var q quarantineLog
 	w, err := NewShardedWindowOptions(2, 1, chaosConfig(), ShardedOptions{
 		batchSize:  4,
 		queueDepth: 1,
-		Hooks: ShardedHooks{OnWorkerBatch: func(shard, packets int) {
-			if wedged.CompareAndSwap(false, true) {
-				<-release // wedge the first epoch's worker on its first batch
-			}
-		}},
+		Hooks: ShardedHooks{
+			OnWorkerBatch: func(shard, packets int) {
+				if wedged.CompareAndSwap(false, true) {
+					<-release // wedge the first epoch's worker on its first batch
+				}
+			},
+			OnQuarantine: q.record,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -787,8 +797,8 @@ func TestChaosRotateContextDeadline(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("RotateContext ignored its 50ms deadline while swapping handles")
 	}
-	if reason, ok := old.ShardPanic(0); !ok || reason != deadlineReason {
-		t.Fatalf("sealed epoch's wedged shard: ShardPanic = %q, %v; want the shutdown deadline", reason, ok)
+	if reason, ok := q.reason(0); !ok || reason != deadlineReason || old.shardDown[0].Load() == 0 {
+		t.Fatalf("sealed epoch's wedged shard: quarantine reason %q, %v; want the shutdown deadline", reason, ok)
 	}
 	if w.Health() != Healthy {
 		t.Fatalf("next epoch Health = %v, want Healthy", w.Health())
@@ -824,7 +834,7 @@ func TestChaosRotateContextDeadline(t *testing.T) {
 // correction applied to our ingest loss.
 func TestChaosLossAdjustedEstimate(t *testing.T) {
 	inj := faultinject.New(9)
-	s, err := NewShardedOptions(2, chaosConfig(), ShardedOptions{
+	w, err := NewShardedWindowOptions(1, 2, chaosConfig(), ShardedOptions{
 		batchSize: 8,
 		Hooks:     ShardedHooks{BeforeEnqueue: inj.DropBatches(0.5)},
 	})
@@ -833,21 +843,19 @@ func TestChaosLossAdjustedEstimate(t *testing.T) {
 	}
 	const observed = 60000
 	const nFlows = 97
-	drive(s, observed, nFlows)
-	s.Close()
-	st := assertAccounting(t, s, observed)
+	driveWindow(w, observed, nFlows)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := assertWindowAccounting(t, w, observed)
 	if st.EffectiveLossRate < 0.3 || st.EffectiveLossRate > 0.7 {
 		t.Fatalf("EffectiveLossRate = %v, want ~0.5", st.EffectiveLossRate)
-	}
-	est, err := s.Estimator()
-	if err != nil {
-		t.Fatal(err)
 	}
 	truth := float64(observed / nFlows)
 	var rawErr, adjErr float64
 	for f := FlowID(0); f < nFlows; f++ {
-		rawErr += math.Abs(est.Estimate(f, CSM)-truth) / truth
-		adjErr += math.Abs(est.EstimateLossAdjusted(f, CSM)-truth) / truth
+		rawErr += math.Abs(w.Estimate(f, CSM)-truth) / truth
+		adjErr += math.Abs(w.EstimateLossAdjusted(f, CSM)-truth) / truth
 	}
 	rawErr /= nFlows
 	adjErr /= nFlows
@@ -873,7 +881,7 @@ func TestChaosLossAdjustedSampleQuarantine(t *testing.T) {
 	panicAt := inj.PanicWorker(1, 40)
 	var quarantined atomic.Uint64
 	var quarantinedShard atomic.Int64
-	s, err := NewShardedOptions(2, chaosConfig(), ShardedOptions{
+	w, err := NewShardedWindowOptions(1, 2, chaosConfig(), ShardedOptions{
 		batchSize:      16,
 		queueDepth:     1,
 		OverflowPolicy: Sample,
@@ -896,10 +904,12 @@ func TestChaosLossAdjustedSampleQuarantine(t *testing.T) {
 	}
 	const observed = 30000
 	const nFlows = 97
-	drive(s, observed, nFlows)
-	s.Close()
+	driveWindow(w, observed, nFlows)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	st := assertAccounting(t, s, observed)
+	st := assertWindowAccounting(t, w, observed)
 	if st.DroppedSampled == 0 {
 		t.Fatal("Sample policy under a slow consumer produced no sampling drops; the fault was not exercised")
 	}
@@ -919,24 +929,20 @@ func TestChaosLossAdjustedSampleQuarantine(t *testing.T) {
 	// The combined rate must be the exact ratio of the ledger, not an
 	// approximation that loses packets between the two causes.
 	dropped := float64(st.DroppedPackets)
-	if want := dropped / (dropped + float64(s.NumPackets())); st.EffectiveLossRate != want {
+	if want := dropped / (dropped + float64(w.NumPackets())); st.EffectiveLossRate != want {
 		t.Fatalf("EffectiveLossRate = %v, want exact ratio %v", st.EffectiveLossRate, want)
 	}
 	if st.EffectiveLossRate <= 0 || st.EffectiveLossRate >= 1 {
 		t.Fatalf("EffectiveLossRate = %v, want in (0,1)", st.EffectiveLossRate)
 	}
 
-	est, err := s.Estimator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rho := est.EffectiveLossRate()
+	rho := w.EffectiveLossRate()
 	if rho != st.EffectiveLossRate {
-		t.Fatalf("estimator loss rate %v != stats loss rate %v", rho, st.EffectiveLossRate)
+		t.Fatalf("window loss rate %v != stats loss rate %v", rho, st.EffectiveLossRate)
 	}
 	for f := FlowID(0); f < nFlows; f++ {
-		raw := est.Estimate(f, CSM)
-		adj := est.EstimateLossAdjusted(f, CSM)
+		raw := w.Estimate(f, CSM)
+		adj := w.EstimateLossAdjusted(f, CSM)
 		if want := raw / (1 - rho); adj != want {
 			t.Fatalf("flow %d: EstimateLossAdjusted = %v, want exactly raw/(1-rho) = %v", f, adj, want)
 		}

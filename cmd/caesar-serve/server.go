@@ -143,7 +143,7 @@ func (s *server) candidates() []caesar.FlowID {
 // just closed. The seal runs under the drain timeout, counted from before
 // rotateMu is taken: a seal stuck behind a wedged worker gives up at the
 // deadline (the worker is quarantined and the epoch ring stays consistent —
-// Sharded's CloseContext contract), so it cannot hold rotateMu, and with
+// ShardedWindow.RotateContext's contract), so it cannot hold rotateMu, and with
 // it every later rotation and the shutdown seal, forever.
 func (s *server) rotate() error {
 	ctx, cancel := context.WithTimeout(context.Background(), s.opts.drainTimeout)

@@ -17,9 +17,8 @@
 // with ties broken by ascending flow ID.
 //
 // Every query surface in the parent package satisfies the interfaces here:
-// *caesar.Estimator, *caesar.ShardedEstimator, the sliding *caesar.Window,
-// the live *caesar.ShardedWindow, and — the intended steady-state driver —
-// each sealed caesar.EpochView.
+// the single-sketch *caesar.Estimator, the live *caesar.ShardedWindow, and —
+// the intended steady-state driver — each sealed caesar.EpochView.
 package detect
 
 import (

@@ -230,13 +230,9 @@ func TestCandidates(t *testing.T) {
 func TestInterfacesCoverAllSurfaces(t *testing.T) {
 	var (
 		_ ParallelQuerier = (*caesar.Estimator)(nil)
-		_ ParallelQuerier = (*caesar.ShardedEstimator)(nil)
-		_ Querier         = (*caesar.Window)(nil)
 		_ ParallelQuerier = (*caesar.ShardedWindow)(nil)
 		_ ParallelQuerier = caesar.EpochView{}
 		_ IntervalQuerier = (*caesar.Estimator)(nil)
-		_ IntervalQuerier = (*caesar.ShardedEstimator)(nil)
-		_ IntervalQuerier = (*caesar.Window)(nil)
 		_ IntervalQuerier = (*caesar.ShardedWindow)(nil)
 		_ IntervalQuerier = caesar.EpochView{}
 	)

@@ -71,9 +71,10 @@ func ExampleSketch_Add() {
 	// Output: volume: 149973 bytes
 }
 
-// A sliding window answers queries over the last N sealed epochs.
-func ExampleWindow() {
-	w, err := caesar.NewWindow(2, caesar.Config{
+// A sliding window answers queries over the last N sealed epochs while
+// producers keep ingesting through their handles.
+func ExampleShardedWindow() {
+	w, err := caesar.NewShardedWindow(2, 2, caesar.Config{
 		Counters:      1 << 13,
 		CacheEntries:  1 << 9,
 		CacheCapacity: 32,
@@ -82,9 +83,11 @@ func ExampleWindow() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer w.Close()
+	h := w.Ingester()
 	for epoch := 0; epoch < 3; epoch++ {
 		for i := 0; i < 100; i++ {
-			w.Observe(caesar.FlowID(5))
+			h.Observe(caesar.FlowID(5))
 		}
 		if err := w.Rotate(); err != nil {
 			log.Fatal(err)
@@ -96,9 +99,10 @@ func ExampleWindow() {
 }
 
 // Sharded ingestion spreads construction over worker goroutines; each
-// producer feeds them through its own Ingester handle.
-func ExampleNewSharded() {
-	sh, err := caesar.NewSharded(4, caesar.Config{
+// producer feeds them through its own handle. A one-epoch window is the
+// plain parallel sketch: Close seals the epoch, and queries answer from it.
+func ExampleNewShardedWindow() {
+	w, err := caesar.NewShardedWindow(1, 4, caesar.Config{
 		Counters:      1 << 14,
 		CacheEntries:  1 << 10,
 		CacheCapacity: 64,
@@ -107,17 +111,15 @@ func ExampleNewSharded() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	h := sh.Ingester()
+	h := w.Ingester()
 	for i := 0; i < 900; i++ {
 		h.Observe(caesar.FlowID(11))
 	}
-	sh.Close()
-	est, err := sh.Estimator()
-	if err != nil {
+	if err := w.Close(); err != nil {
 		log.Fatal(err)
 	}
 	// The estimate sits a whisker under 900: the flow's own mass is part of
 	// its shard's expected-noise subtraction (k·n/L ≈ 0.66 here).
-	fmt.Printf("estimated size: %.0f\n", est.Estimate(caesar.FlowID(11), caesar.CSM))
+	fmt.Printf("estimated size: %.0f\n", w.Estimate(caesar.FlowID(11), caesar.CSM))
 	// Output: estimated size: 899
 }

@@ -4,12 +4,13 @@
 // This is the end-to-end hot path bench/'s pcap-replay workload times: packets
 // are decoded in blocks into a reused buffer (zero allocations per record),
 // their 5-tuples extracted into a reused block, and the whole block handed
-// to a sharded sketch through a per-producer Ingester whose ObservePackets
-// fuses flow-ID hashing (the keyed fast hash, via the block-pipelined
-// FlowIDer.IDBlock), shard routing, and buffer dispatch under one lock
-// acquisition — no per-packet call anywhere between the capture file and
-// the shard workers' lock-free SPSC rings. A real deployment would run one
-// Ingester per capture thread; the example streams one file single-threaded.
+// to a one-epoch sharded window through a per-producer WindowIngester whose
+// ObservePackets fuses flow-ID hashing (the keyed fast hash, via the
+// block-pipelined FlowIDer.IDBlock), shard routing, and buffer dispatch
+// under one lock acquisition — no per-packet call anywhere between the
+// capture file and the shard workers' lock-free SPSC rings. A real
+// deployment would run one handle per capture thread; the example streams
+// one file single-threaded.
 //
 // Since this repository ships no capture files, the example first writes a
 // small synthetic capture to a temp file (using the same writer
@@ -55,7 +56,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	s, err := caesar.NewShardedOptions(4, caesar.Config{
+	// One epoch: Close seals it, and the window's queries answer from it.
+	w, err := caesar.NewShardedWindowOptions(1, 4, caesar.Config{
 		Counters:      1 << 14,
 		CacheEntries:  1 << 10,
 		CacheCapacity: 64,
@@ -70,7 +72,7 @@ func main() {
 	// block to ObservePackets, which hashes (FlowIDer.IDBlock), routes, and
 	// buffers it in one call. The truth/tuple maps exist only so the example
 	// can print an actual-vs-estimated table; a real collector would keep
-	// neither. They key by s.HashTuple — the same derivation the ingest path
+	// neither. They key by w.HashTuple — the same derivation the ingest path
 	// used — so the printed estimates address the counters the packets
 	// actually landed in.
 	var (
@@ -79,13 +81,13 @@ func main() {
 		truth  = make(map[caesar.FlowID]uint64)
 		tuples = make(map[caesar.FlowID]hashing.FiveTuple)
 	)
-	h := s.Ingester()
+	h := w.Ingester()
 	for {
 		n, err := r.ReadBlock(pkts[:])
 		tup = pcap.AppendTuples(tup[:0], pkts[:n])
 		h.ObservePackets(tup)
 		for i := 0; i < n; i++ {
-			id := s.HashTuple(pkts[i].Tuple)
+			id := w.HashTuple(pkts[i].Tuple)
 			truth[id]++
 			if _, ok := tuples[id]; !ok {
 				tuples[id] = pkts[i].Tuple
@@ -98,18 +100,15 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	s.Close()
+	if err := w.Close(); err != nil {
+		log.Fatal(err)
+	}
 
 	st := r.Stats()
 	fmt.Printf("capture: %d records, %d parsed (%d non-IP, %d fragments, %d other-proto, %d truncated)\n",
 		st.Records, st.Parsed, st.SkippedNonIP, st.SkippedFragments,
 		st.SkippedTransport, st.SkippedTruncated)
 	fmt.Printf("flows:   %d distinct\n\n", len(truth))
-
-	est, err := s.Estimator()
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	top := make([]caesar.FlowID, 0, len(truth))
 	for id := range truth {
@@ -132,9 +131,9 @@ func main() {
 		if t, ok := tuples[id]; ok {
 			label = t.String()
 		}
-		fmt.Printf("%-44s %6d  %9.1f\n", label, truth[id], est.Estimate(id, caesar.CSM))
+		fmt.Printf("%-44s %6d  %9.1f\n", label, truth[id], w.Estimate(id, caesar.CSM))
 	}
-	stats := s.Stats()
+	stats := w.Stats()
 	fmt.Printf("\ncache hit rate %.1f%%, %d off-chip writes for %d packets (%.1fx amortized), %d dropped\n",
 		100*float64(stats.CacheHits)/float64(stats.Packets), stats.SRAMWrites, stats.Packets,
 		float64(stats.Packets)/float64(stats.SRAMWrites), stats.DroppedPackets)

@@ -8,8 +8,8 @@ import (
 )
 
 // Tests for the tuple-level ingest front end: the FlowHash option, the
-// HashTuple contract, and the fused ObservePackets block path at both the
-// Sharded and ShardedWindow layers.
+// HashTuple contract, and the fused ObservePackets block path, at the
+// window's public surface and on the per-epoch shard set beneath it.
 
 func flowHashTuples(n int) []FiveTuple {
 	tuples := make([]FiveTuple, n)
@@ -27,14 +27,14 @@ func flowHashTuples(n int) []FiveTuple {
 }
 
 func TestShardedFlowHashOptionValidation(t *testing.T) {
-	if _, err := NewShardedOptions(2, shardedConfig(), ShardedOptions{FlowHash: FlowHash(99)}); err == nil {
+	if _, err := newTestSharded(2, shardedConfig(), ShardedOptions{FlowHash: FlowHash(99)}); err == nil {
 		t.Error("out-of-range FlowHash accepted")
 	}
-	if _, err := NewShardedOptions(2, shardedConfig(), ShardedOptions{FlowHash: FlowHash(-1)}); err == nil {
+	if _, err := newTestSharded(2, shardedConfig(), ShardedOptions{FlowHash: FlowHash(-1)}); err == nil {
 		t.Error("negative FlowHash accepted")
 	}
 	for _, fh := range []FlowHash{FlowHashSHA1, FlowHashFast} {
-		s, err := NewShardedOptions(2, shardedConfig(), ShardedOptions{FlowHash: fh})
+		s, err := newTestSharded(2, shardedConfig(), ShardedOptions{FlowHash: fh})
 		if err != nil {
 			t.Fatalf("FlowHash %v rejected: %v", fh, err)
 		}
@@ -50,12 +50,12 @@ func TestShardedFlowHashOptionValidation(t *testing.T) {
 // hash (seeded from Config.Seed) under FlowHashFast.
 func TestHashTupleMatchesConfiguredHash(t *testing.T) {
 	cfg := shardedConfig()
-	sha, err := NewSharded(2, cfg)
+	sha, err := NewShardedWindow(1, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sha.Close()
-	fast, err := NewShardedOptions(2, cfg, ShardedOptions{FlowHash: FlowHashFast})
+	fast, err := NewShardedWindowOptions(1, 2, cfg, ShardedOptions{FlowHash: FlowHashFast})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +80,11 @@ func TestObservePacketsMatchesPrehashed(t *testing.T) {
 		t.Run(fh.String(), func(t *testing.T) {
 			cfg := shardedConfig()
 			opts := ShardedOptions{FlowHash: fh}
-			fused, err := NewShardedOptions(4, cfg, opts)
+			fused, err := NewShardedWindowOptions(1, 4, cfg, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			manual, err := NewShardedOptions(4, cfg, opts)
+			manual, err := NewShardedWindowOptions(1, 4, cfg, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,22 +99,18 @@ func TestObservePacketsMatchesPrehashed(t *testing.T) {
 				fh1.ObservePackets(tuples)
 				mh.ObserveBatch(flows)
 			}
-			fused.Close()
-			manual.Close()
+			if err := fused.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := manual.Close(); err != nil {
+				t.Fatal(err)
+			}
 
 			if fp, mp := fused.NumPackets(), manual.NumPackets(); fp != mp {
 				t.Fatalf("NumPackets: fused %d, manual %d", fp, mp)
 			}
-			fe, err := fused.Estimator()
-			if err != nil {
-				t.Fatal(err)
-			}
-			me, err := manual.Estimator()
-			if err != nil {
-				t.Fatal(err)
-			}
 			for i, flow := range flows {
-				if got, want := fe.Estimate(flow, CSM), me.Estimate(flow, CSM); got != want {
+				if got, want := fused.Estimate(flow, CSM), manual.Estimate(flow, CSM); got != want {
 					t.Fatalf("flow %d (%#x): fused estimate %v, manual %v", i, uint64(flow), got, want)
 				}
 			}
@@ -125,15 +121,15 @@ func TestObservePacketsMatchesPrehashed(t *testing.T) {
 // TestObservePacketsAfterClose checks the fused path keeps the conservation
 // invariant after Close: the whole block lands in DroppedAfterClose.
 func TestObservePacketsAfterClose(t *testing.T) {
-	s, err := NewShardedOptions(2, shardedConfig(), ShardedOptions{FlowHash: FlowHashFast})
+	s, err := newTestSharded(2, shardedConfig(), ShardedOptions{FlowHash: FlowHashFast})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := s.Ingester()
 	tuples := flowHashTuples(100)
-	h.ObservePackets(tuples)
+	h.observe(nil, tuples)
 	s.Close()
-	h.ObservePackets(tuples)
+	h.observe(nil, tuples)
 	if got := s.NumPackets(); got != uint64(len(tuples)) {
 		t.Fatalf("NumPackets = %d, want %d", got, len(tuples))
 	}
@@ -212,7 +208,7 @@ func TestWindowObservePacketsFused(t *testing.T) {
 // oversized so no batch fills (and recycles through the pool) mid-measurement
 // — pool traffic is the consumer's business, not the hot path's.
 func TestFlowIDZeroAllocs(t *testing.T) {
-	s, err := NewShardedOptions(4, shardedConfig(), ShardedOptions{
+	s, err := newTestSharded(4, shardedConfig(), ShardedOptions{
 		FlowHash:  FlowHashFast,
 		batchSize: 8192,
 	})
@@ -222,9 +218,9 @@ func TestFlowIDZeroAllocs(t *testing.T) {
 	defer s.Close()
 	h := s.Ingester()
 	tuples := flowHashTuples(256)
-	h.ObservePackets(tuples) // reach steady-state scratch capacity
+	h.observe(nil, tuples) // reach steady-state scratch capacity
 	if allocs := testing.AllocsPerRun(20, func() {
-		h.ObservePackets(tuples)
+		h.observe(nil, tuples)
 	}); allocs != 0 {
 		t.Fatalf("fused ObservePackets allocates %.1f times per block in steady state, want 0", allocs)
 	}

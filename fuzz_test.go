@@ -3,6 +3,7 @@ package caesar
 import (
 	"bytes"
 	"math"
+	"sync/atomic"
 	"testing"
 )
 
@@ -77,59 +78,124 @@ func FuzzSketchObserveEstimate(f *testing.F) {
 	})
 }
 
-// FuzzTornSnapshot models torn and corrupted writes directly: it starts
-// from genuinely valid CSNP bytes (one plain sketch, one sharded snapshot
-// carrying a loss ledger) and applies the two corruptions a crashed or
-// failing disk produces — truncation at an arbitrary offset and bit flips.
-// The container contract under test: the CRC32 covers every byte after the
-// magic, so ANY mutation of a valid snapshot must surface as an error —
-// never a panic, never a silently-wrong sketch — and a failed ReadFrom
-// leaves the receiver bit-identical. (This is the same contract the chaos
-// suite's TestChaosTornSnapshotWrite checks through the snapfile hooks; the
-// fuzzer explores the offset space those fixed cases cannot.)
-func FuzzTornSnapshot(f *testing.F) {
-	mkValid := func() (plain, sharded []byte) {
-		sk, err := New(Config{Counters: 128, CacheEntries: 16, CacheCapacity: 8, Seed: 21})
-		if err != nil {
+// fuzzWindowSnapshots returns two genuine caesar-shardedwindow snapshots to
+// seed the snapshot fuzzers with: a lossless window of 2 sealed epochs over
+// 2 shards, and a lossy one-epoch window whose sealed epoch lost shard 1 to
+// a worker panic after an earlier epoch was retired, so its loss section
+// carries drops and a quarantine flag and its rets section is non-zero.
+func fuzzWindowSnapshots(f *testing.F) (lossless, lossy []byte) {
+	cfg := Config{Counters: 128, CacheEntries: 16, CacheCapacity: 8, Seed: 21}
+	seal := func(w *ShardedWindow, epochs int, beforeEpoch func(int)) []byte {
+		h := w.Ingester()
+		for e := 0; e < epochs; e++ {
+			beforeEpoch(e)
+			for i := 0; i < 300; i++ {
+				h.Observe(FlowID(i % 24))
+			}
+			if err := w.Rotate(); err != nil {
+				f.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if _, err := w.WriteTo(&buf); err != nil {
 			f.Fatal(err)
 		}
-		for i := 0; i < 300; i++ {
-			sk.Observe(FlowID(i % 24))
-		}
-		var pb bytes.Buffer
-		if _, err := sk.WriteTo(&pb); err != nil {
+		if err := w.Close(); err != nil {
 			f.Fatal(err)
 		}
-
-		sh, err := NewSharded(2, Config{Counters: 128, CacheEntries: 16, CacheCapacity: 8, Seed: 21})
-		if err != nil {
-			f.Fatal(err)
-		}
-		h := sh.Ingester()
-		for i := 0; i < 300; i++ {
-			h.Observe(FlowID(i % 24))
-		}
-		sh.Close()
-		var sb bytes.Buffer
-		if _, err := sh.Snapshot(&sb); err != nil {
-			f.Fatal(err)
-		}
-		return pb.Bytes(), sb.Bytes()
+		return buf.Bytes()
 	}
-	plain, sharded := mkValid()
 
-	f.Add(true, uint32(0), uint32(0), byte(0))  // untouched plain snapshot
-	f.Add(false, uint32(0), uint32(0), byte(0)) // untouched sharded snapshot
-	f.Add(true, uint32(1), uint32(0), byte(0))  // near-total truncation
-	f.Add(false, uint32(len(sharded)/2), uint32(0), byte(0))
-	f.Add(true, uint32(0), uint32(5), byte(1))                  // header bit flip
-	f.Add(false, uint32(0), uint32(len(sharded)-1), byte(0x80)) // CRC bit flip
+	w, err := NewShardedWindow(2, 2, cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	lossless = seal(w, 2, func(int) {})
 
-	f.Fuzz(func(t *testing.T, usePlain bool, truncateAt, flipPos uint32, flipMask byte) {
-		valid := sharded
-		if usePlain {
-			valid = plain
-		}
+	var armed atomic.Bool
+	w, err = NewShardedWindowOptions(1, 2, cfg, ShardedOptions{
+		batchSize: 16,
+		Hooks: ShardedHooks{OnWorkerBatch: func(shard, _ int) {
+			if shard == 1 && armed.CompareAndSwap(true, false) {
+				panic("fuzz seed: injected worker panic")
+			}
+		}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	lossy = seal(w, 2, func(e int) { armed.Store(e == 1) })
+
+	// The lossy seed must carry what it is for: a quarantined shard in its
+	// sealed epoch and a retired epoch's packets.
+	r, err := ReadShardedWindow(bytes.NewReader(lossy))
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer r.Close()
+	sealed := r.Epochs()[0]
+	if sealed.Stats().QuarantinedShards != 1 || sealed.DroppedPackets() == 0 || r.NumPackets() == sealed.NumPackets() {
+		f.Fatalf("lossy seed: sealed epoch %+v, window packets %d; want one quarantined shard, drops and a retired epoch",
+			sealed.Stats(), r.NumPackets())
+	}
+	return lossless, lossy
+}
+
+// loadWindow restores a window from data when it decodes, checks that it
+// answers without NaN, and closes it (a restore starts the current epoch's
+// workers). It reports whether data loaded.
+func loadWindow(t *testing.T, data []byte) bool {
+	w, err := ReadShardedWindow(bytes.NewReader(data))
+	if err != nil {
+		return false
+	}
+	defer w.Close()
+	if x := w.Estimate(1, CSM); math.IsNaN(x) {
+		t.Fatalf("loaded window returned NaN estimate")
+	}
+	if x := w.EstimateMany([]FlowID{1, 2}, MLM, nil); math.IsNaN(x[0]) || math.IsNaN(x[1]) {
+		t.Fatalf("loaded window returned NaN bulk estimates %v", x)
+	}
+	return true
+}
+
+// FuzzTornSnapshot models torn and corrupted writes directly: it starts
+// from genuinely valid CSNP bytes (one plain sketch and the two window
+// checkpoints of fuzzWindowSnapshots) and applies the two corruptions a
+// crashed or failing disk produces — truncation at an arbitrary offset and
+// bit flips. The container contract under test: the CRC32 covers every
+// byte after the magic, so ANY mutation of a valid snapshot must surface as
+// an error — never a panic, never a silently-wrong sketch — and a failed
+// ReadFrom leaves the receiver bit-identical. (This is the same contract
+// the chaos suite's TestChaosTornSnapshotWrite checks through the snapfile
+// hooks; the fuzzer explores the offset space those fixed cases cannot.)
+func FuzzTornSnapshot(f *testing.F) {
+	sk, err := New(Config{Counters: 128, CacheEntries: 16, CacheCapacity: 8, Seed: 21})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		sk.Observe(FlowID(i % 24))
+	}
+	var pb bytes.Buffer
+	if _, err := sk.WriteTo(&pb); err != nil {
+		f.Fatal(err)
+	}
+	lossless, lossy := fuzzWindowSnapshots(f)
+	sources := [][]byte{pb.Bytes(), lossless, lossy} // src selects one, mod 3
+
+	f.Add(byte(0), uint32(0), uint32(0), byte(0)) // untouched plain snapshot
+	f.Add(byte(1), uint32(0), uint32(0), byte(0)) // untouched lossless window
+	f.Add(byte(0), uint32(1), uint32(0), byte(0)) // near-total truncation
+	f.Add(byte(1), uint32(len(lossless)/2), uint32(0), byte(0))
+	f.Add(byte(0), uint32(0), uint32(5), byte(1))                  // header bit flip
+	f.Add(byte(1), uint32(0), uint32(len(lossless)-1), byte(0x80)) // CRC bit flip
+	f.Add(byte(2), uint32(0), uint32(0), byte(0))                  // untouched lossy window
+	f.Add(byte(2), uint32(len(lossy)*3/4), uint32(0), byte(0))     // truncated in the loss ledger
+
+	f.Fuzz(func(t *testing.T, src byte, truncateAt, flipPos uint32, flipMask byte) {
+		which := int(src) % len(sources)
+		valid := sources[which]
 		mutated := append([]byte(nil), valid...)
 		if int(truncateAt) < len(mutated) {
 			mutated = mutated[:truncateAt]
@@ -139,12 +205,17 @@ func FuzzTornSnapshot(f *testing.F) {
 		}
 		torn := !bytes.Equal(mutated, valid)
 
-		// The standalone loaders must reject every torn variant cleanly.
+		// The standalone loaders must reject every torn variant cleanly, and
+		// the window loader must take an intact window checkpoint.
 		if _, err := ReadSketch(bytes.NewReader(mutated)); torn && err == nil {
 			t.Fatalf("ReadSketch accepted torn snapshot (truncate=%d flip=%d/%#x)", truncateAt, flipPos, flipMask)
 		}
-		if _, err := ReadShardedSnapshot(bytes.NewReader(mutated)); torn && err == nil {
-			t.Fatalf("ReadShardedSnapshot accepted torn snapshot (truncate=%d flip=%d/%#x)", truncateAt, flipPos, flipMask)
+		loaded := loadWindow(t, mutated)
+		if torn && loaded {
+			t.Fatalf("ReadShardedWindow accepted torn snapshot (truncate=%d flip=%d/%#x)", truncateAt, flipPos, flipMask)
+		}
+		if !torn && which > 0 && !loaded {
+			t.Fatalf("ReadShardedWindow rejected intact window checkpoint %d", which)
 		}
 
 		// A failed in-place load must leave the receiver untouched; an intact
@@ -158,7 +229,7 @@ func FuzzTornSnapshot(f *testing.F) {
 		}
 		before := recv.Estimate(3)
 		if _, err := recv.ReadFrom(bytes.NewReader(mutated)); err != nil {
-			if usePlain && !torn {
+			if which == 0 && !torn {
 				t.Fatalf("ReadFrom rejected an intact snapshot: %v", err)
 			}
 			if got := recv.Estimate(3); math.Float64bits(got) != math.Float64bits(before) {
@@ -192,38 +263,9 @@ func FuzzSnapshotReadFrom(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(plain.Bytes())
-
-	sh, err := NewSharded(2, Config{Counters: 128, CacheEntries: 16, CacheCapacity: 8, Seed: 3})
-	if err != nil {
-		f.Fatal(err)
-	}
-	h := sh.Ingester()
-	for i := 0; i < 500; i++ {
-		h.Observe(FlowID(i % 40))
-	}
-	sh.Close()
-	var sharded bytes.Buffer
-	if _, err := sh.Snapshot(&sharded); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(sharded.Bytes())
-
-	win, err := NewWindow(2, Config{Counters: 128, CacheEntries: 16, CacheCapacity: 8, Seed: 3})
-	if err != nil {
-		f.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		win.Observe(FlowID(i % 40))
-	}
-	if err := win.Rotate(); err != nil {
-		f.Fatal(err)
-	}
-	var window bytes.Buffer
-	if _, err := win.WriteTo(&window); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(window.Bytes())
-
+	lossless, lossy := fuzzWindowSnapshots(f)
+	f.Add(lossless)
+	f.Add(lossy)
 	f.Add([]byte("CSNP"))
 	f.Add([]byte{})
 
@@ -244,18 +286,6 @@ func FuzzSnapshotReadFrom(f *testing.F) {
 			}
 		}
 
-		if s, err := ReadShardedSnapshot(bytes.NewReader(data)); err == nil {
-			if e, err := s.Estimator(); err != nil {
-				t.Fatalf("loaded sharded snapshot rejected Estimator: %v", err)
-			} else if x := e.Estimate(1, CSM); math.IsNaN(x) {
-				t.Fatalf("loaded sharded snapshot returned NaN estimate")
-			}
-		}
-
-		if w, err := ReadWindow(bytes.NewReader(data)); err == nil {
-			if x := w.Estimate(1, CSM); math.IsNaN(x) {
-				t.Fatalf("loaded window returned NaN estimate")
-			}
-		}
+		loadWindow(t, data)
 	})
 }

@@ -107,7 +107,8 @@ func TestIntegrationShardedMatchesUnshardedMass(t *testing.T) {
 		CacheCapacity: uint64(2*tr.MeanFlowSize()) + 2,
 		Seed:          5,
 	}
-	sh, err := NewSharded(4, cfg)
+	// One epoch, sealed by Close: the plain parallel sketch.
+	sh, err := NewShardedWindow(1, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,20 +116,18 @@ func TestIntegrationShardedMatchesUnshardedMass(t *testing.T) {
 	for _, p := range tr.Packets {
 		h.Observe(p.Flow)
 	}
-	sh.Close()
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if got := sh.NumPackets(); got != uint64(tr.NumPackets()) {
 		t.Fatalf("sharded ingested %d, want %d", got, tr.NumPackets())
-	}
-	est, err := sh.Estimator()
-	if err != nil {
-		t.Fatal(err)
 	}
 	// Large flows estimated well through the sharded path too.
 	var pts []stats.EstimatePoint
 	for _, id := range tr.TopFlows(25) {
 		pts = append(pts, stats.EstimatePoint{
 			Actual:    tr.Truth[id],
-			Estimated: est.Estimate(id, CSM),
+			Estimated: sh.Estimate(id, CSM),
 		})
 	}
 	if are := stats.AverageRelativeError(pts); are > 0.3 {
@@ -186,7 +185,7 @@ func TestIntegrationWindowOverTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWindow(3, Config{
+	w, err := NewShardedWindow(3, 2, Config{
 		Counters:      1 << 13,
 		CacheEntries:  512,
 		CacheCapacity: uint64(2*tr.MeanFlowSize()) + 2,
@@ -195,6 +194,8 @@ func TestIntegrationWindowOverTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
+	h := w.Ingester()
 	top := tr.TopFlows(1)[0]
 	epochLen := tr.NumPackets() / 5
 	var perEpoch []int
@@ -205,7 +206,7 @@ func TestIntegrationWindowOverTrace(t *testing.T) {
 		}
 		count := 0
 		for _, p := range tr.Packets[start:end] {
-			w.Observe(p.Flow)
+			h.Observe(p.Flow)
 			if p.Flow == top {
 				count++
 			}

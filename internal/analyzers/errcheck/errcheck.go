@@ -3,12 +3,13 @@
 //
 // The repository's error contract is that fallible operations — Rotate,
 // Merge, WriteCounters, trace loading, and the snapshot layer's WriteTo,
-// ReadFrom, Snapshot, and ReadSketch family — report failure through their
-// error result, never through state the caller must remember to inspect.
-// Calling one as a bare statement discards the only failure signal: a
-// dropped Window.Rotate error silently turns a sliding window into a stale
-// one, and a dropped Sketch.WriteTo error leaves a truncated snapshot that
-// the query process will reject hours later. This pass flags any expression statement that calls a function
+// ReadFrom, SnapshotFile, and ReadSketch/ReadShardedWindow family — report
+// failure through their error result, never through state the caller must
+// remember to inspect. Calling one as a bare statement discards the only
+// failure signal: a dropped ShardedWindow.RotateContext error hides a seal
+// the deadline cut short, and a dropped Sketch.WriteTo error leaves a
+// truncated snapshot that the query process will reject hours later. This
+// pass flags any expression statement that calls a function
 // declared in this module and ignores a returned error. It deliberately
 // ignores third-party and stdlib callees (that is classic errcheck's much
 // noisier job) and `defer`red calls, where dropping a cleanup error is an

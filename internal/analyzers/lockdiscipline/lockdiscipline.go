@@ -1,10 +1,11 @@
 // Package lockdiscipline checks that struct fields documented as
 // "guarded by <mutex>" are only touched while the guard is held.
 //
-// The concurrency contract of caesar.Sharded lives in comments the compiler
-// never reads: Sharded.batches and Sharded.closed say "guarded by mu", and a
-// single forgotten mu.Lock() turns the routing buffers into a silent data
-// race that only a loaded production box would surface. This pass makes the
+// The concurrency contract of the sharded ingest plane lives in comments
+// the compiler never reads: the ingest handle's batches and closed fields
+// say "guarded by mu", and a single forgotten mu.Lock() turns the routing
+// buffers into a silent data race that only a loaded production box would
+// surface. This pass makes the
 // comment machine-checked: any field whose doc or line comment contains
 // "guarded by <name>" may only be accessed (read or written) in a function
 // that has already called <base>.<name>.Lock() or .RLock() earlier in the

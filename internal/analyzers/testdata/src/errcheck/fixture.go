@@ -33,10 +33,10 @@ func handles() error {
 	return nil
 }
 
-// The deadline-bounded shutdown APIs (Sharded.CloseContext,
-// Ingester.FlushContext) return the only signal that a deadline expired and
+// The deadline-bounded shutdown APIs (ShardedWindow.CloseContext and
+// RotateContext) return the only signal that a deadline expired and
 // batches were counted as dropped; dropping that error hides a lossy close.
-// These mirror-shaped methods pin the analyzer to that contract.
+// These shutdown-shaped methods pin the analyzer to that contract.
 type shutdownAPI struct{}
 
 func (shutdownAPI) CloseContext(ctx context.Context) error { return nil }

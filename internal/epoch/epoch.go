@@ -1,22 +1,21 @@
-// Package epoch implements the epoch lifecycle shared by the sliding
-// measurement windows: a current epoch that ingests, a fixed-capacity ring
-// of sealed epochs that answer queries, and the per-rotation hash-seed
-// derivation that decorrelates sharing noise across epochs.
+// Package epoch implements the epoch lifecycle of the sliding measurement
+// window: a current epoch that ingests, a fixed-capacity ring of sealed
+// epochs that answer queries, and the per-rotation hash-seed derivation
+// that decorrelates sharing noise across epochs.
 //
-// The package is deliberately generic over what an epoch *is*: the
-// single-threaded Window seals a plain sketch into an estimator, while
-// ShardedWindow seals a whole sharded shard set (workers, queues, loss
-// ledger) into a sharded query view. Both express exactly the same
+// Its one user is caesar.ShardedWindow, which seals a whole shard set
+// (workers, queues, loss ledger) into a per-shard query view. The package
+// stays generic over the current and sealed epoch types, which keeps the
 // lifecycle — rotate, retire the oldest when the ring is full, count
-// rotations forever — so that lifecycle lives here once.
+// rotations forever — testable without the ingest plane.
 package epoch
 
 import "fmt"
 
 // seedStride is the golden-ratio odd constant used to derive per-epoch
-// (and, inside Sharded, per-shard) hash seeds: consecutive rotations get
-// seeds far apart in the mixer's input space, so epochs map flows to
-// independent counter sets and their sharing noises decorrelate.
+// (and, inside an epoch's shard set, per-shard) hash seeds: consecutive
+// rotations get seeds far apart in the mixer's input space, so epochs map
+// flows to independent counter sets and their sharing noises decorrelate.
 const seedStride = 0x9e3779b97f4a7c15
 
 // Seed derives the hash seed for the rotation-th epoch (rotation 0 is the

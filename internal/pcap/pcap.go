@@ -199,7 +199,7 @@ func (pr *Reader) ReadBlock(dst []Packet) (int, error) {
 
 // AppendTuples appends the 5-tuples of pkts[:n] to dst and returns it —
 // the glue between ReadBlock and the fused tuple-block ingest paths
-// (FlowIDer.IDBlock, Ingester.ObservePackets): the replay loop keeps one
+// (FlowIDer.IDBlock, WindowIngester.ObservePackets): the replay loop keeps one
 // []Packet and one []FiveTuple and reuses both every block, so the
 // extraction is allocation-free in the steady state.
 //

@@ -1,6 +1,6 @@
 // Package spsc provides a bounded lock-free single-producer single-consumer
-// ring buffer, the per-(ingester, shard) hand-off queue behind Sharded's
-// line-rate ingest path.
+// ring buffer, the per-(ingest handle, shard) hand-off queue behind
+// ShardedWindow's line-rate ingest path.
 //
 // The design is the classic cached-cursor SPSC queue (Rigtorp-style):
 //

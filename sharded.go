@@ -14,25 +14,17 @@ import (
 	"github.com/caesar-sketch/caesar/internal/stats"
 )
 
-// Sharded fans packet ingestion out over several independent CAESAR
-// sketches, one worker goroutine per shard, with flows routed by hash so
-// every flow lives in exactly one shard. This is the software analogue of
-// replicating the measurement pipeline across switch ports: shards share
-// nothing, so ingest scales with cores while every per-flow guarantee of a
-// single sketch still holds within its shard.
+// sharded is one epoch's shard set inside a ShardedWindow: n independent
+// CAESAR sketches, one worker goroutine per shard, with flows routed by
+// hash so every flow lives in exactly one shard, and the configured budget
+// divided among them (ShardedWindow's doc states the division).
 //
-// The total memory budget in Config is divided among shards: every shard
-// gets Counters/n counters and CacheEntries/n cache entries, and the
-// division remainders are spread one-per-shard across the first shards, so
-// the whole configured budget is used (per-shard totals sum exactly to the
-// configured Counters and CacheEntries).
-//
-// Packets enter through Ingester handles. Each producer goroutine should
-// hold its own handle: handles buffer privately per shard and hand full
-// batches to the shard workers through their own SPSC rings, so they never
-// contend with each other. A handle is also safe to share, in which case
-// its callers serialize on its mutex. Call Close (or CloseContext) to drain
-// the workers (and every outstanding handle) before querying.
+// Packets enter through ingester handles. Each producer should hold its
+// own: handles buffer privately per shard and hand full batches to the
+// shard workers through their own SPSC rings, so they never contend with
+// each other. A handle is also safe to share, in which case its callers
+// serialize on its mutex. closeWith drains the workers (and every
+// outstanding handle) before the epoch is queried; it is the window's seal.
 //
 // # Overload and fault tolerance
 //
@@ -47,14 +39,15 @@ import (
 //
 // holds exactly under queue overflow, worker panics, shutdown deadlines,
 // and post-Close ingestion; the chaos suite (chaos_test.go) pins it under
-// injected faults. Loss is surfaced as Stats().EffectiveLossRate and via
-// ShardedEstimator.EffectiveLossRate, mirroring the paper's lossy-RCS
-// evaluation where estimates cover the recorded fraction of each flow.
-type Sharded struct {
+// injected faults. Loss is surfaced as Stats().EffectiveLossRate, and the
+// window's EstimateLossAdjusted corrects for it, mirroring the paper's
+// lossy-RCS evaluation where estimates cover the recorded fraction of each
+// flow.
+type sharded struct {
 	opts   ShardedOptions
 	shards []*Sketch
 	// ringShards hold the per-shard SPSC ring sets (nil on snapshot-loaded
-	// instances). Each registered Ingester owns one ring per shard, so every
+	// instances). Each registered ingester owns one ring per shard, so every
 	// ring has exactly one producer (the handle, serialized by its own mutex)
 	// and one consumer (the shard worker).
 	ringShards []*ringShard
@@ -73,7 +66,7 @@ type Sharded struct {
 	batchPool sync.Pool
 
 	mu      sync.Mutex
-	handles []*Ingester // registered producer handles, guarded by mu
+	handles []*ingester // registered producer handles, guarded by mu
 	closed  bool        // guarded by mu
 
 	// abort is closed (once) when a deadline-bounded shutdown gives up on
@@ -99,11 +92,6 @@ type Sharded struct {
 	// flush and query (nil on snapshot-loaded instances, which never had
 	// workers).
 	workerExited []chan struct{}
-
-	// panicReasons records the first recovered panic per shard, guarded by
-	// panicMu.
-	panicMu      sync.Mutex
-	panicReasons map[int]string
 }
 
 // OverflowPolicy selects what a producer does when a shard's queue is full.
@@ -141,8 +129,9 @@ func (p OverflowPolicy) String() string {
 	}
 }
 
-// Health is the coarse failure state of a Sharded sketch's worker pool.
-// It only ever moves forward: Healthy → Degraded → Quarantined.
+// Health is the coarse failure state of an epoch's shard workers (see
+// ShardedWindow.Health). It only ever moves forward: Healthy → Degraded →
+// Quarantined.
 type Health int
 
 const (
@@ -152,8 +141,8 @@ const (
 	// panic; surviving shards keep ingesting and answering queries, and the
 	// quarantined shards' traffic is counted as dropped.
 	Degraded
-	// Quarantined means every shard worker has been quarantined; the sketch
-	// can still Close and serve whatever state the shards held at the time
+	// Quarantined means every shard worker has been quarantined; the epoch
+	// can still seal and serve whatever state the shards held at the time
 	// of their faults.
 	Quarantined
 )
@@ -173,10 +162,10 @@ func (h Health) String() string {
 }
 
 // FlowHash selects the tuple → flow-ID derivation used by the tuple-level
-// ingest entry points (ObservePacket, ObservePackets, HashTuple). Entry
-// points that take pre-hashed FlowIDs (Observe, ObserveBatch) are
-// unaffected: the choice only matters where the sketch itself turns packet
-// headers into identifiers.
+// ingest entry points (WindowIngester.ObservePacket and ObservePackets, and
+// ShardedWindow.HashTuple). Entry points that take pre-hashed FlowIDs
+// (Observe, ObserveBatch) are unaffected: the choice only matters where the
+// window itself turns packet headers into identifiers.
 type FlowHash int
 
 const (
@@ -264,12 +253,13 @@ type ShardedHooks struct {
 	// applied to the shard sketch. Sleeping models a slow consumer; a panic
 	// exercises the quarantine machinery exactly like a real worker fault.
 	OnWorkerBatch func(shard, packets int)
-	// OnQuarantine fires once per shard, on whichever goroutine first
-	// quarantines it (worker recover, flush, estimator, or a
-	// deadline-bounded close), with the recorded reason. The self-healing
+	// OnQuarantine fires once per shard of each epoch, on whichever
+	// goroutine first quarantines it (worker recover, flush, estimator, or a
+	// deadline-bounded seal), with the reason: the recovered panic value, or
+	// the deadline that abandoned a still-running worker. The self-healing
 	// service layer uses it to log the fault and kick the supervisor
 	// without polling.
-	// Must not block and must not call back into the Sharded.
+	// Must not block and must not call back into the window.
 	OnQuarantine func(shard int, reason string)
 }
 
@@ -282,10 +272,10 @@ type ShardedOptions struct {
 	OverflowPolicy OverflowPolicy
 	// FlowHash selects the tuple → flow-ID derivation of the tuple-level
 	// ingest entry points: FlowHashSHA1 (default, paper-faithful) or
-	// FlowHashFast (keyed SipHash-2-4, seeded from Config.Seed). A runtime
-	// choice, not persisted state: snapshots store pre-hashed FlowIDs, so a
-	// restore must be given the same FlowHash its writer ingested with for
-	// tuple-level queries to resolve the same flows.
+	// FlowHashFast (keyed SipHash-2-4, seeded from Config.Seed). Snapshots
+	// store pre-hashed FlowIDs, so the choice is persisted with them:
+	// ReadShardedWindowOptions rejects a checkpoint written under the other
+	// FlowHash, whose flow IDs would address different flows.
 	FlowHash FlowHash
 	// Hooks installs fault-injection and instrumentation callbacks; the
 	// zero value installs none.
@@ -359,28 +349,17 @@ type dropStats struct {
 	overflow   paddedCounter // Drop policy: batch rejected on a full queue
 	sampled    paddedCounter // Sample policy: packets thinned on overflow
 	quarantine paddedCounter // packets abandoned by or routed to a quarantined shard
-	timeout    paddedCounter // CloseContext/FlushContext deadline casualties
+	timeout    paddedCounter // deadline-bounded seal casualties (RotateContext/CloseContext)
 	afterClose paddedCounter // Observe/ObserveBatch after Close (counted no-op)
 	injected   paddedCounter // batches suppressed by a BeforeEnqueue hook
 	batches    paddedCounter // whole batches dropped, all causes
 }
 
-// NewSharded builds n shards from a total-budget config with default ingest
-// options. n = 0 selects GOMAXPROCS shards.
-func NewSharded(n int, cfg Config) (*Sharded, error) {
-	return NewShardedOptions(n, cfg, ShardedOptions{})
-}
-
-// NewShardedOptions builds n shards from a total-budget config with
-// explicit ingest options. n = 0 selects GOMAXPROCS shards.
-func NewShardedOptions(n int, cfg Config, opts ShardedOptions) (*Sharded, error) {
-	return newSharded(n, cfg, opts, newTupleHasher(opts.FlowHash, cfg.Seed))
-}
-
-// newSharded is NewShardedOptions with the tuple hasher supplied by the
-// caller: a ShardedWindow hands every epoch its base-seed hasher, so a flow
-// keeps one ID across rotations.
-func newSharded(n int, cfg Config, opts ShardedOptions, ids tupleHasher) (*Sharded, error) {
+// newSharded builds n shards from a total-budget config (n = 0 selects
+// GOMAXPROCS shards) and starts their workers. The tuple hasher is supplied
+// by the caller: a ShardedWindow hands every epoch its base-seed hasher, so
+// a flow keeps one ID across rotations.
+func newSharded(n int, cfg Config, opts ShardedOptions, ids tupleHasher) (*sharded, error) {
 	if n == 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
@@ -397,7 +376,7 @@ func newSharded(n int, cfg Config, opts ShardedOptions, ids tupleHasher) (*Shard
 		return nil, fmt.Errorf("caesar: budget too small for %d shards (counters=%d cacheEntries=%d)",
 			n, cfg.Counters, cfg.CacheEntries)
 	}
-	s := &Sharded{
+	s := &sharded{
 		opts:         opts,
 		shards:       make([]*Sketch, n),
 		ringShards:   make([]*ringShard, n),
@@ -407,7 +386,6 @@ func newSharded(n int, cfg Config, opts ShardedOptions, ids tupleHasher) (*Shard
 		shardDropped: make([]paddedCounter, n),
 		shardDown:    make([]atomic.Uint32, n),
 		workerExited: make([]chan struct{}, n),
-		panicReasons: make(map[int]string),
 	}
 	for i := range s.shards {
 		// Spread the division remainders across the first shards so no part
@@ -441,7 +419,7 @@ func newSharded(n int, cfg Config, opts ShardedOptions, ids tupleHasher) (*Shard
 // were not applied before the fault are counted as quarantine drops, so the
 // observed == counted + dropped invariant holds at packet granularity even
 // for a fault in the middle of a batch.
-func (s *Sharded) applyBatch(i int, batch shardBatch) (ok bool) {
+func (s *sharded) applyBatch(i int, batch shardBatch) (ok bool) {
 	sk := s.shards[i]
 	before := sk.NumPackets()
 	defer func() {
@@ -463,32 +441,19 @@ func (s *Sharded) applyBatch(i int, batch shardBatch) (ok bool) {
 	return true
 }
 
-// quarantineShard marks shard i down and records the first panic reason.
-func (s *Sharded) quarantineShard(i int, reason string) {
+// quarantineShard marks shard i down; the first quarantine of a shard
+// hands its reason to the OnQuarantine hook.
+func (s *sharded) quarantineShard(i int, reason string) {
 	if s.shardDown[i].CompareAndSwap(0, 1) {
-		s.panicMu.Lock()
-		s.panicReasons[i] = reason
-		s.panicMu.Unlock()
 		if hook := s.opts.Hooks.OnQuarantine; hook != nil {
 			hook(i, reason)
 		}
 	}
 }
 
-// ShardPanic returns the recovered panic value that quarantined shard i,
-// and whether that shard has been quarantined at all.
-func (s *Sharded) ShardPanic(i int) (string, bool) {
-	if i < 0 || i >= len(s.shardDown) || s.shardDown[i].Load() == 0 {
-		return "", false
-	}
-	s.panicMu.Lock()
-	defer s.panicMu.Unlock()
-	return s.panicReasons[i], true
-}
-
 // Health reports the worker pool's failure state. A freshly built (or
 // snapshot-loaded) sketch is Healthy; the state only moves forward.
-func (s *Sharded) Health() Health {
+func (s *sharded) Health() Health {
 	down := s.quarantinedShards()
 	switch {
 	case down == 0:
@@ -501,7 +466,7 @@ func (s *Sharded) Health() Health {
 }
 
 // quarantinedShards counts shards whose worker has been quarantined.
-func (s *Sharded) quarantinedShards() int {
+func (s *sharded) quarantinedShards() int {
 	n := 0
 	for i := range s.shardDown {
 		n += int(s.shardDown[i].Load())
@@ -511,7 +476,7 @@ func (s *Sharded) quarantinedShards() int {
 
 // aborted reports whether a deadline-bounded shutdown has tripped the abort
 // latch.
-func (s *Sharded) aborted() bool {
+func (s *sharded) aborted() bool {
 	select {
 	case <-s.abort:
 		return true
@@ -521,13 +486,13 @@ func (s *Sharded) aborted() bool {
 }
 
 // triggerAbort trips the abort latch exactly once.
-func (s *Sharded) triggerAbort() {
+func (s *sharded) triggerAbort() {
 	s.abortOnce.Do(func() { close(s.abort) })
 }
 
 // dropBatch accounts one whole batch of n packets destined for shard i as
 // dropped for the given cause.
-func (s *Sharded) dropBatch(i, n int, cause *paddedCounter) {
+func (s *sharded) dropBatch(i, n int, cause *paddedCounter) {
 	cause.Add(uint64(n))
 	s.shardDropped[i].Add(uint64(n))
 	s.drops.batches.Add(1)
@@ -535,7 +500,7 @@ func (s *Sharded) dropBatch(i, n int, cause *paddedCounter) {
 
 // getBatch returns an empty batch with batchSize capacity, recycled from
 // the pool when one is available.
-func (s *Sharded) getBatch() shardBatch {
+func (s *sharded) getBatch() shardBatch {
 	if bp, _ := s.batchPool.Get().(*shardBatch); bp != nil {
 		return (*bp)[:0]
 	}
@@ -544,7 +509,7 @@ func (s *Sharded) getBatch() shardBatch {
 }
 
 // putBatch returns a consumed batch to the pool.
-func (s *Sharded) putBatch(b shardBatch) {
+func (s *sharded) putBatch(b shardBatch) {
 	if cap(b) == 0 {
 		return
 	}
@@ -554,37 +519,30 @@ func (s *Sharded) putBatch(b shardBatch) {
 }
 
 // NumShards returns the shard count.
-func (s *Sharded) NumShards() int { return len(s.shards) }
+func (s *sharded) NumShards() int { return len(s.shards) }
 
 // ShardFor returns the index of the shard that owns a flow.
 //
 //caesar:hotpath routes every flow on the scalar query path
-func (s *Sharded) ShardFor(flow FlowID) int {
+func (s *sharded) ShardFor(flow FlowID) int {
 	return s.router.Route(flow)
 }
-
-// HashTuple derives the packet's flow ID under this sketch's configured
-// FlowHash: the paper's SHA-1 ⊕ APHash by default, the keyed fast hash when
-// the options selected FlowHashFast. Queries against tuple-level ingest must
-// derive their flow IDs through this method (or an identically configured
-// hasher) — the two hashes produce disjoint ID namespaces.
-func (s *Sharded) HashTuple(t FiveTuple) FlowID { return s.ids.id(t) }
 
 // Ingester returns a new per-producer ingest handle. Handles own private
 // per-shard fill buffers, so producers holding distinct handles never
 // contend with each other on the packet path — the handle's mutex is
 // uncontended except at the Close rendezvous. Close drains every handle's
-// buffered packets. Minting a new handle from a closed Sharded is a
+// buffered packets. Minting a new handle from a closed shard set is a
 // programming error and panics; observing through an existing handle after
 // Close is a counted no-op.
-func (s *Sharded) Ingester() *Ingester {
+func (s *sharded) Ingester() *ingester {
 	batches := make([]shardBatch, len(s.shards))
 	rings := make([]*spsc.Ring[shardBatch], len(s.shards))
 	for i := range batches {
 		batches[i] = s.getBatch()
 		rings[i] = spsc.New[shardBatch](s.opts.queueDepth)
 	}
-	h := &Ingester{s: s, rings: rings, batches: batches}
+	h := &ingester{s: s, rings: rings, batches: batches}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -602,13 +560,14 @@ func (s *Sharded) Ingester() *Ingester {
 	return h
 }
 
-// Ingester is a per-producer ingest handle for a Sharded sketch. It is safe
-// for concurrent use, but its point is the opposite: give each producer
-// goroutine its own handle and the packet path never contends — ingest is
-// a buffered append behind a mutex no other producer touches, and only a
-// full batch (every 256 packets per shard) reaches shared state.
-type Ingester struct {
-	s *Sharded
+// ingester is a per-producer ingest handle for one shard set; a
+// WindowIngester wraps the current epoch's. It is safe for concurrent use,
+// but its point is the opposite: give each producer goroutine its own
+// handle and the packet path never contends — ingest is a buffered append
+// behind a mutex no other producer touches, and only a full batch (every
+// 256 packets per shard) reaches shared state.
+type ingester struct {
+	s *sharded
 
 	// rings are this handle's private SPSC hand-off rings, one per shard.
 	// The handle is the sole producer of each — every push and the eventual
@@ -623,39 +582,21 @@ type Ingester struct {
 	closed   bool         // guarded by mu
 }
 
-// Observe routes one packet to its shard's buffer, handing the buffer to
-// the shard worker when it fills.
+// observe is the one ingest body behind every WindowIngester entry point:
+// it hashes the tuples when given tuples instead of flows, computes the
+// shard of every flow as one block (RouteBlock: the routing hashes are
+// data-independent, so the tight loop pipelines where a per-packet
+// hash→buffer sequence would serialize on each hash's latency;
+// bit-identical to ShardFor per flow), appends each flow to its shard's
+// buffer, and enqueues every buffer that fills.
 //
-// After Close, every entry point is a counted no-op: the packets are
-// discarded and accounted in Stats.DroppedAfterClose, so racing producers
-// that lose the Close rendezvous keep the observed == counted + dropped
-// invariant instead of crashing the process.
-func (h *Ingester) Observe(flow FlowID) { h.observe([]FlowID{flow}, nil) }
-
-// ObserveBatch routes a batch of packets to their shards under a single
-// lock acquisition, amortizing the route-and-buffer cost.
-func (h *Ingester) ObserveBatch(flows []FlowID) { h.observe(flows, nil) }
-
-// ObservePacket parses a 5-tuple and routes one packet of its flow, deriving
-// the flow ID with the configured FlowHash.
-func (h *Ingester) ObservePacket(t FiveTuple) { h.observe(nil, []FiveTuple{t}) }
-
-// ObservePackets is the fused tuple-level block ingest path: one call takes
-// a block of raw 5-tuples through flow-ID hashing (the configured FlowHash),
-// block shard routing, and the per-shard buffer appends under a single lock
-// acquisition.
-func (h *Ingester) ObservePackets(tuples []FiveTuple) { h.observe(nil, tuples) }
-
-// observe is the one ingest body behind every entry point: it hashes the
-// tuples when given tuples instead of flows, computes the shard of every
-// flow as one block (RouteBlock: the routing hashes are data-independent,
-// so the tight loop pipelines where a per-packet hash→buffer sequence would
-// serialize on each hash's latency; bit-identical to ShardFor per flow),
-// appends each flow to its shard's buffer, and enqueues every buffer that
-// fills.
+// After Close, every call is a counted no-op: the packets are discarded
+// and accounted in Stats.DroppedAfterClose, so racing producers that lose
+// the Close rendezvous keep the observed == counted + dropped invariant
+// instead of crashing the process.
 //
-//caesar:hotpath the ingest body of every Ingester entry point
-func (h *Ingester) observe(flows []FlowID, tuples []FiveTuple) {
+//caesar:hotpath the ingest body of every WindowIngester entry point
+func (h *ingester) observe(flows []FlowID, tuples []FiveTuple) {
 	if len(flows) == 0 && len(tuples) == 0 {
 		return
 	}
@@ -687,7 +628,7 @@ func (h *Ingester) observe(flows []FlowID, tuples []FiveTuple) {
 }
 
 // dropAfterClose accounts one post-Close packet destined for shard i.
-func (s *Sharded) dropAfterClose(i int) {
+func (s *sharded) dropAfterClose(i int) {
 	s.drops.afterClose.Add(1)
 	s.shardDropped[i].Add(1)
 }
@@ -696,7 +637,7 @@ func (s *Sharded) dropAfterClose(i int) {
 // without closing the handle, bounding how long a trickle of packets can
 // sit invisible in a producer's buffers. The pushes respect the overflow
 // policy, exactly like a full batch. No-op after Close.
-func (h *Ingester) Flush() {
+func (h *ingester) Flush() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
@@ -710,38 +651,6 @@ func (h *Ingester) Flush() {
 	}
 }
 
-// FlushContext is Flush with a deadline: each partially-filled buffer is
-// offered to its shard's ring until ctx expires, after which the remaining
-// buffers are counted in Stats.DroppedTimeout — never silently lost — and
-// ctx's error is returned. A nil error means every buffered packet reached
-// its ring. No-op (nil) after Close.
-//
-// The wait is on ctx alone: the worker keeps consuming (or count-draining)
-// its rings until they are closed, and closing them requires this handle's
-// mutex, so a push always lands unless the deadline fires.
-func (h *Ingester) FlushContext(ctx context.Context) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return nil
-	}
-	var err error
-	for i, b := range h.batches {
-		if len(b) == 0 {
-			continue
-		}
-		h.batches[i] = h.s.getBatch()
-		if err != nil {
-			// The deadline already fired: count the rest without re-waiting.
-			h.s.dropBatch(i, len(b), &h.s.drops.timeout)
-			h.s.putBatch(b)
-		} else if !h.pushWait(ctx, i, b, false) {
-			err = ctx.Err()
-		}
-	}
-	return err
-}
-
 // enqueue hands one full batch to shard i's worker through the handle's
 // ring, applying the overflow policy. Hook suppression and policy drops are
 // counted; a blocking push can be cut short only by the shutdown abort
@@ -751,7 +660,7 @@ func (h *Ingester) FlushContext(ctx context.Context) error {
 // the push always lands on an open ring.
 //
 //caesar:hotpath hands off one full batch per batchSize packets
-func (h *Ingester) enqueue(i int, b shardBatch) {
+func (h *ingester) enqueue(i int, b shardBatch) {
 	s := h.s
 	if hook := s.opts.Hooks.BeforeEnqueue; hook != nil && !hook(i, len(b)) {
 		s.dropBatch(i, len(b), &s.drops.injected)
@@ -766,17 +675,17 @@ func (h *Ingester) enqueue(i int, b shardBatch) {
 		}
 	case Sample:
 		if !h.tryPush(i, b) {
-			h.pushWait(context.Background(), i, s.thinBatch(i, b), true)
+			h.pushWait(context.Background(), i, s.thinBatch(i, b))
 		}
 	default: // Block
-		h.pushWait(context.Background(), i, b, true)
+		h.pushWait(context.Background(), i, b)
 	}
 }
 
 // thinBatch applies the Sample policy to an overflowing batch in place: one
 // packet in every shardSampleRate is kept (the write index never catches the
 // read index) and the discarded remainder is accounted to shard i.
-func (s *Sharded) thinBatch(i int, b shardBatch) shardBatch {
+func (s *sharded) thinBatch(i int, b shardBatch) shardBatch {
 	kept := b[:0]
 	for j := 0; j < len(b); j += shardSampleRate {
 		//caesar:ignore allocfree kept reuses b's backing array and its write index never passes the read index, so this append never grows
@@ -794,7 +703,7 @@ func (s *Sharded) thinBatch(i int, b shardBatch) shardBatch {
 // The pushes give up when ctx expires or the abort latch trips, counting
 // the remaining buffers as timed-out drops. Called only by the Close path;
 // reports whether any buffer was dropped on the deadline.
-func (h *Ingester) drain(ctx context.Context) bool {
+func (h *ingester) drain(ctx context.Context) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
@@ -809,7 +718,7 @@ func (h *Ingester) drain(ctx context.Context) bool {
 			// The deadline already fired: count without re-waiting.
 			h.s.dropBatch(i, len(b), &h.s.drops.timeout)
 		default:
-			hit = !h.pushWait(ctx, i, b, true)
+			hit = !h.pushWait(ctx, i, b)
 		}
 		h.batches[i] = nil
 	}
@@ -822,33 +731,30 @@ func (h *Ingester) drain(ctx context.Context) bool {
 	return hit
 }
 
-// Close drains every registered Ingester handle, stops the workers, and
-// flushes every shard's cache to its counters. Idempotent. Close never gives up on queued work: with the
-// Block policy it waits for stalled consumers indefinitely — use
-// CloseContext to bound shutdown.
-func (s *Sharded) Close() {
+// Close drains every registered ingester handle, stops the workers, and
+// flushes every shard's cache to its counters. Idempotent. Close never
+// gives up on queued work: with the Block policy it waits for stalled
+// consumers indefinitely; closeWith bounds the wait.
+func (s *sharded) Close() {
 	// Background contexts never expire, so the deadline machinery is inert
 	// and the error is structurally nil.
 	_ = s.closeWith(context.Background())
 }
 
-// CloseContext is Close with a deadline. When ctx expires before the drain
-// completes, the abort latch trips: blocked producers give up, workers
-// discard still-queued batches, and every abandoned packet is counted in
-// Stats.DroppedTimeout — so a stalled consumer cannot hang shutdown, and
-// nothing is silently lost. A worker wedged mid-batch (a goroutine cannot
-// be killed) is abandoned after a short grace and its shard quarantined;
-// when it eventually finishes, its applied packets surface in NumPackets
-// and the rest of its queue drains as counted drops, restoring the exact
-// accounting invariant. Returns nil when everything drained in time, or
-// ctx's error when the deadline cut the drain short; the sketch is closed
-// either way, and queries answer from the shards whose workers finished.
-// Idempotent: later calls return nil.
-func (s *Sharded) CloseContext(ctx context.Context) error {
-	return s.closeWith(ctx)
-}
-
-func (s *Sharded) closeWith(ctx context.Context) error {
+// closeWith is Close with a deadline, the seal of RotateContext and
+// CloseContext. When ctx expires before the drain completes, the abort
+// latch trips: blocked producers give up, workers discard still-queued
+// batches, and every abandoned packet is counted in Stats.DroppedTimeout —
+// so a stalled consumer cannot hang shutdown, and nothing is silently lost.
+// A worker wedged mid-batch (a goroutine cannot be killed) is abandoned
+// after a short grace and its shard quarantined; when it eventually
+// finishes, its applied packets surface in NumPackets and the rest of its
+// queue drains as counted drops, restoring the exact accounting invariant.
+// Returns nil when everything drained in time, or ctx's error when the
+// deadline cut the drain short; the shard set is closed either way, and
+// queries answer from the shards whose workers finished. Idempotent: later
+// calls return nil.
+func (s *sharded) closeWith(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -910,7 +816,7 @@ func (s *Sharded) closeWith(ctx context.Context) error {
 
 // workerDone reports whether shard i's worker goroutine has returned (true
 // on snapshot-loaded instances, which never had workers).
-func (s *Sharded) workerDone(i int) bool {
+func (s *sharded) workerDone(i int) bool {
 	if s.workerExited == nil {
 		return true
 	}
@@ -928,7 +834,7 @@ func (s *Sharded) workerDone(i int) bool {
 // wait: a consumer wedged mid-batch cannot hang a deadline-bounded shutdown
 // (its shard is quarantined instead). Reports whether every worker exited
 // before the deadline.
-func (s *Sharded) awaitWorkers(ctx context.Context) bool {
+func (s *sharded) awaitWorkers(ctx context.Context) bool {
 	var grace <-chan time.Time
 	for _, exited := range s.workerExited {
 		if grace == nil {
@@ -953,7 +859,7 @@ func (s *Sharded) awaitWorkers(ctx context.Context) bool {
 // torn by a worker fault must not take down the shutdown of the survivors.
 // A panicking flush quarantines the shard (if the worker fault had not
 // already).
-func (s *Sharded) safeFlush(i int) {
+func (s *sharded) safeFlush(i int) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.quarantineShard(i, fmt.Sprintf("flush: %v", r))
@@ -964,7 +870,7 @@ func (s *Sharded) safeFlush(i int) {
 
 // NumPackets returns the total packets observed across shards. Call after
 // Close for an exact figure.
-func (s *Sharded) NumPackets() uint64 {
+func (s *sharded) NumPackets() uint64 {
 	var n uint64
 	for _, sk := range s.shards {
 		n += sk.NumPackets()
@@ -974,20 +880,14 @@ func (s *Sharded) NumPackets() uint64 {
 
 // DroppedPackets returns the total packets counted as dropped across all
 // causes (see the Stats Dropped* fields for the partition).
-func (s *Sharded) DroppedPackets() uint64 { return s.ledgerStats().dropped() }
+func (s *sharded) DroppedPackets() uint64 { return s.ledgerStats().dropped() }
 
 // ShardDropped returns the dropped-packet count attributed to one shard.
-func (s *Sharded) ShardDropped(i int) uint64 {
+func (s *sharded) ShardDropped(i int) uint64 {
 	if i < 0 || i >= len(s.shardDropped) {
 		return 0
 	}
 	return s.shardDropped[i].Load()
-}
-
-// effectiveLossRate is Stats().EffectiveLossRate without the per-shard
-// cache statistics.
-func (s *Sharded) effectiveLossRate() float64 {
-	return lossRate(s.DroppedPackets(), s.NumPackets())
 }
 
 // lossRate returns dropped / (dropped + applied), the ingest path's
@@ -1000,7 +900,7 @@ func lossRate(dropped, applied uint64) float64 {
 }
 
 // Stats aggregates the shards' observability counters and the loss ledger.
-func (s *Sharded) Stats() Stats {
+func (s *sharded) Stats() Stats {
 	agg := s.ledgerStats()
 	for _, sk := range s.shards {
 		accumulateStats(&agg, sk.Stats())
@@ -1017,7 +917,7 @@ func (s *Sharded) Stats() Stats {
 // Quarantined shards answer from their last consistent state; a shard whose
 // state is unrecoverable is excluded (its flows estimate 0, and Covered
 // reports false for them).
-func (s *Sharded) Estimator() (*ShardedEstimator, error) {
+func (s *sharded) Estimator() (*shardedEstimator, error) {
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
@@ -1028,13 +928,13 @@ func (s *Sharded) Estimator() (*ShardedEstimator, error) {
 	for i, sk := range s.shards {
 		ests[i] = s.safeEstimator(i, sk)
 	}
-	return &ShardedEstimator{owner: s, ests: ests}, nil
+	return &shardedEstimator{owner: s, ests: ests}, nil
 }
 
 // safeEstimator builds shard i's query view under recover: a shard whose
 // state was torn by a worker fault yields a nil view instead of taking the
 // whole query phase down.
-func (s *Sharded) safeEstimator(i int, sk *Sketch) (est *Estimator) {
+func (s *sharded) safeEstimator(i int, sk *Sketch) (est *Estimator) {
 	if !s.workerDone(i) {
 		// A deadline-abandoned worker may still be applying a batch; its
 		// shard was quarantined by the timed-out close and cannot be read
@@ -1050,51 +950,33 @@ func (s *Sharded) safeEstimator(i int, sk *Sketch) (est *Estimator) {
 	return sk.Estimator()
 }
 
-// ShardedEstimator answers queries by routing each flow to its owning
-// shard's estimator.
-type ShardedEstimator struct {
-	owner *Sharded
+// shardedEstimator answers a sealed epoch's scalar queries by routing each
+// flow to its owning shard's estimator; the window's bulk path
+// (ShardedWindow.sumEpochs) reads ests directly. Not safe for concurrent
+// use: the per-shard estimators reuse scratch, so the window serializes
+// queries.
+type shardedEstimator struct {
+	owner *sharded
 	ests  []*Estimator
-
-	// Bulk-query scratch (EstimateMany/QueryAll). Not guarded: the
-	// estimator, like the per-shard ones, is not safe for concurrent use
-	// from multiple goroutines (QueryAll parallelizes internally).
-	grp shardGroups
 }
 
 // Covered reports whether the flow's owning shard produced a query view.
 // It is false only for flows owned by a quarantined shard whose state was
 // unrecoverable; their Estimate is 0.
-func (e *ShardedEstimator) Covered(flow FlowID) bool {
+func (e *shardedEstimator) Covered(flow FlowID) bool {
 	return e.ests[e.owner.ShardFor(flow)] != nil
 }
 
 // Estimate returns the flow's estimated size. Under loss (Drop/Sample
 // policies, quarantined shards, deadline drops) the estimate covers the
-// recorded fraction of the flow, exactly like the paper's lossy RCS; use
-// EstimateLossAdjusted for the loss-corrected figure.
-func (e *ShardedEstimator) Estimate(flow FlowID, m Method) float64 {
+// recorded fraction of the flow, exactly like the paper's lossy RCS;
+// ShardedWindow.EstimateLossAdjusted gives the loss-corrected figure.
+func (e *shardedEstimator) Estimate(flow FlowID, m Method) float64 {
 	est := e.ests[e.owner.ShardFor(flow)]
 	if est == nil {
 		return 0
 	}
 	return est.Estimate(flow, m)
-}
-
-// EffectiveLossRate returns dropped / (delivered + dropped) over the whole
-// sketch — the measured analogue of the paper's assumed RCS loss rates (2/3
-// and 9/10 in Figure 7). Zero for a lossless run.
-func (e *ShardedEstimator) EffectiveLossRate() float64 {
-	return e.owner.effectiveLossRate()
-}
-
-// EstimateLossAdjusted scales Estimate by 1/(1-EffectiveLossRate): under
-// uniform random loss the recorded fraction of every flow is (1-ρ) in
-// expectation, so the scaled estimate is unbiased for the flow's true size
-// (variance grows with ρ, as in Figure 7). Falls back to the raw estimate
-// when the loss rate is 0, and returns 0 when everything was dropped.
-func (e *ShardedEstimator) EstimateLossAdjusted(flow FlowID, m Method) float64 {
-	return lossAdjusted(e.Estimate(flow, m), e.owner.effectiveLossRate())
 }
 
 // lossAdjusted is the Figure 7 correction est/(1-rho): the raw estimate
@@ -1113,27 +995,16 @@ func lossAdjusted(est, rho float64) float64 {
 // Flows owned by an unrecoverable quarantined shard return (0, zero
 // interval); see Covered. An alpha outside (0,1) panics for every flow,
 // covered or not, as it does in ShardedWindow.EstimateWithInterval.
-func (e *ShardedEstimator) EstimateWithInterval(flow FlowID, alpha float64) (float64, Interval) {
+func (e *shardedEstimator) EstimateWithInterval(flow FlowID, alpha float64) (float64, Interval) {
 	return e.intervalAt(flow, stats.ZAlpha(alpha))
 }
 
 // intervalAt is EstimateWithInterval at a precomputed z quantile, the
 // per-epoch step of ShardedWindow.EstimateWithInterval.
-func (e *ShardedEstimator) intervalAt(flow FlowID, z float64) (float64, Interval) {
+func (e *shardedEstimator) intervalAt(flow FlowID, z float64) (float64, Interval) {
 	est := e.ests[e.owner.ShardFor(flow)]
 	if est == nil {
 		return 0, Interval{}
 	}
 	return est.intervalAt(flow, z)
-}
-
-// SetDistribution forwards flow-population knowledge to every shard,
-// scaling Q by the shard count (flows split evenly in expectation).
-func (e *ShardedEstimator) SetDistribution(q float64, sizeSecondMoment float64) {
-	per := q / float64(len(e.ests))
-	for _, est := range e.ests {
-		if est != nil {
-			est.SetDistribution(per, sizeSecondMoment)
-		}
-	}
 }

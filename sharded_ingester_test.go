@@ -2,13 +2,13 @@ package caesar
 
 import (
 	"bytes"
-	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/caesar-sketch/caesar/internal/hashing"
+	"github.com/caesar-sketch/caesar/internal/sketch"
 )
 
 func ingesterTestConfig() Config {
@@ -20,13 +20,12 @@ func ingesterTestConfig() Config {
 	}
 }
 
-func shardedSnapshot(t *testing.T, s *Sharded) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := s.Snapshot(&buf); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	return buf.Bytes()
+// shardedSnapshot is the closed shard set's encoded state, the payload a
+// sealed epoch carries in a window checkpoint.
+func shardedSnapshot(s *sharded) []byte {
+	var e sketch.Encoder
+	s.encodeState(&e)
+	return e.Bytes()
 }
 
 // TestIngesterBatchSizeInvariance runs one trace under several batch sizes
@@ -47,21 +46,21 @@ func TestIngesterBatchSizeInvariance(t *testing.T) {
 		{batchSize: 3, queueDepth: 2},
 		{batchSize: 4096},
 	} {
-		s, err := NewShardedOptions(4, ingesterTestConfig(), opt)
+		s, err := newTestSharded(4, ingesterTestConfig(), opt)
 		if err != nil {
 			t.Fatalf("%+v: %v", opt, err)
 		}
 		h := s.Ingester()
 		// Mix the single-packet and batch entry points: same packets in the
 		// same order, so the result must not depend on the entry point either.
-		h.ObserveBatch(trace[:10000])
+		h.observe(trace[:10000], nil)
 		for _, f := range trace[10000:20000] {
-			h.Observe(f)
+			h.observe([]FlowID{f}, nil)
 		}
 		h.Flush() // mid-stream Flush must not disturb anything
-		h.ObserveBatch(trace[20000:])
+		h.observe(trace[20000:], nil)
 		s.Close()
-		snap := shardedSnapshot(t, s)
+		snap := shardedSnapshot(s)
 		if want == nil {
 			want = snap
 			continue
@@ -75,7 +74,7 @@ func TestIngesterBatchSizeInvariance(t *testing.T) {
 // TestShardedOptions pins the option plumbing: zero values select the
 // ingest constants, the test-only overrides stick, and nonsense is rejected.
 func TestShardedOptions(t *testing.T) {
-	s, err := NewSharded(2, ingesterTestConfig())
+	s, err := newTestSharded(2, ingesterTestConfig(), ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestShardedOptions(t *testing.T) {
 	}
 	s.Close()
 
-	s, err = NewShardedOptions(2, ingesterTestConfig(), ShardedOptions{batchSize: 17, queueDepth: 3})
+	s, err = newTestSharded(2, ingesterTestConfig(), ShardedOptions{batchSize: 17, queueDepth: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +97,8 @@ func TestShardedOptions(t *testing.T) {
 		{OverflowPolicy: OverflowPolicy(99)},
 		{OverflowPolicy: OverflowPolicy(-1)},
 	} {
-		if _, err := NewShardedOptions(2, ingesterTestConfig(), bad); err == nil {
-			t.Fatalf("NewShardedOptions accepted %+v", bad)
+		if _, err := newTestSharded(2, ingesterTestConfig(), bad); err == nil {
+			t.Fatalf("newSharded accepted %+v", bad)
 		}
 	}
 
@@ -118,23 +117,20 @@ func TestShardedOptions(t *testing.T) {
 // TestIngesterAfterClose pins the lifecycle contract: observing through a
 // handle after Close is a counted no-op (packets land in DroppedAfterClose,
 // never in the sketch), Flush degrades to a no-op, and minting a new handle
-// from a closed Sharded is still a programming error that panics.
+// from a closed shard set is still a programming error that panics.
 func TestIngesterAfterClose(t *testing.T) {
-	s, err := NewSharded(2, ingesterTestConfig())
+	s, err := newTestSharded(2, ingesterTestConfig(), ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := s.Ingester()
-	h.Observe(1)
+	h.observe([]FlowID{1}, nil)
 	s.Close()
 
 	h.Flush() // must not panic or resurrect buffers
-	if err := h.FlushContext(context.Background()); err != nil {
-		t.Fatalf("FlushContext after Close: %v", err)
-	}
 
-	h.Observe(2)
-	h.ObserveBatch([]FlowID{2, 3})
+	h.observe([]FlowID{2}, nil)
+	h.observe([]FlowID{2, 3}, nil)
 
 	defer func() {
 		if recover() == nil {
@@ -153,14 +149,14 @@ func TestIngesterAfterClose(t *testing.T) {
 }
 
 // TestIngesterCloseRace is the per-producer-handle analogue of
-// TestShardedObserveCloseRace: every worker owns its own Ingester and mixes
+// TestShardedObserveCloseRace: every worker owns its own handle and mixes
 // Observe with ObserveBatch while the main goroutine Closes mid-stream.
 // Under -race this guards the handle/Close rendezvous; the tally proves
 // exactly-once-or-counted delivery — every packet whose call started before
 // the Close rendezvous is drained, every later one is an after-Close drop,
 // and none is counted twice.
 func TestIngesterCloseRace(t *testing.T) {
-	s, err := NewShardedOptions(4, ingesterTestConfig(), ShardedOptions{batchSize: 8, queueDepth: 2})
+	s, err := newTestSharded(4, ingesterTestConfig(), ShardedOptions{batchSize: 8, queueDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +168,7 @@ func TestIngesterCloseRace(t *testing.T) {
 		wg    sync.WaitGroup
 		start = make(chan struct{})
 	)
-	handles := make([]*Ingester, workers)
+	handles := make([]*ingester, workers)
 	for w := range handles {
 		handles[w] = s.Ingester()
 	}
@@ -188,10 +184,10 @@ func TestIngesterCloseRace(t *testing.T) {
 					for j := range batch {
 						batch[j] = FlowID(uint64(w)<<32 | uint64((i+j)%509))
 					}
-					h.ObserveBatch(batch[:])
+					h.observe(batch[:], nil)
 					sent.Add(uint64(len(batch)))
 				} else {
-					h.Observe(FlowID(uint64(w)<<32 | uint64(i%509)))
+					h.observe([]FlowID{FlowID(uint64(w)<<32 | uint64(i%509))}, nil)
 					sent.Add(1)
 				}
 			}

@@ -43,7 +43,7 @@ var workerSpins = func() int {
 }()
 
 // ringShard is the consumer side of one shard's ring set: the rings of every
-// registered Ingester for that shard, plus the worker's parking machinery.
+// registered ingester for that shard, plus the worker's parking machinery.
 //
 // Parking is a Dekker-style flag/re-check protocol. The worker publishes
 // parked=1, then re-checks every ring before blocking on wake; a producer
@@ -82,7 +82,7 @@ func newRingShard() *ringShard {
 }
 
 // register adds a freshly minted handle ring to the shard's set. Callers hold
-// s.mu (see Sharded.Ingester), which orders registration against closeWith's
+// s.mu (see sharded.Ingester), which orders registration against closeWith's
 // closed flag; the gen bump is what the worker actually watches.
 func (rs *ringShard) register(r *spsc.Ring[shardBatch]) {
 	rs.mu.Lock()
@@ -119,7 +119,7 @@ func (rs *ringShard) closingClosed() bool {
 // shard worker if it parked. Producer-side: caller holds h.mu.
 //
 //caesar:hotpath the lock-free batch hand-off
-func (h *Ingester) tryPush(i int, b shardBatch) bool {
+func (h *ingester) tryPush(i int, b shardBatch) bool {
 	//caesar:ignore allocfree spsc.Ring.TryPush is annotated //caesar:hotpath and allocation-free (cursor math plus a slot store); the generic instantiation defeats the cross-package certification lookup
 	if !h.rings[i].TryPush(b) {
 		return false
@@ -129,18 +129,18 @@ func (h *Ingester) tryPush(i int, b shardBatch) bool {
 }
 
 // pushWait delivers a batch with backpressure: it offers b to shard i's
-// ring until the push lands, ctx expires, or — when abortCuts is set — the
-// shutdown abort latch trips, in which case the batch is counted as a
-// timed-out drop. The wait spins briefly (the common stall is the worker
-// finishing one batch), then backs off to sleeps. Reports whether the push
-// landed. Producer-side: caller holds h.mu.
-func (h *Ingester) pushWait(ctx context.Context, i int, b shardBatch, abortCuts bool) bool {
+// ring until the push lands, ctx expires, or the shutdown abort latch
+// trips, in which case the batch is counted as a timed-out drop. The wait
+// spins briefly (the common stall is the worker finishing one batch), then
+// backs off to sleeps. Reports whether the push landed. Producer-side:
+// caller holds h.mu.
+func (h *ingester) pushWait(ctx context.Context, i int, b shardBatch) bool {
 	s := h.s
 	for spins := 0; ; {
 		if h.tryPush(i, b) {
 			return true
 		}
-		if ctx.Err() != nil || (abortCuts && s.aborted()) {
+		if ctx.Err() != nil || s.aborted() {
 			s.dropBatch(i, len(b), &s.drops.timeout)
 			s.putBatch(b)
 			return false
@@ -166,7 +166,7 @@ func (h *Ingester) pushWait(ctx context.Context, i int, b shardBatch, abortCuts 
 // returns only after the closing latch has tripped and every ring it has
 // ever been shown is closed and empty, so once workerExited[i] closes every
 // batch it was handed is either applied or counted.
-func (s *Sharded) worker(i int) {
+func (s *sharded) worker(i int) {
 	//caesar:ignore atomicdiscipline worker i is the sole closer of its own exit latch; no other goroutine ever closes or sends on workerExited[i]
 	defer close(s.workerExited[i])
 	rs := s.ringShards[i]

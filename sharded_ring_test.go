@@ -20,11 +20,11 @@ func ringTestConfig() Config {
 // TestShardedMatchesSequentialOracle pins the concurrent ingest plane —
 // block routing, per-shard buffers, the SPSC ring hand-off, the shard
 // workers, the Close drain — to a sequential model with no concurrency at
-// all. One producer feeds a Sharded under the lossless Block policy with a
+// all. One producer feeds a shard set under the lossless Block policy with a
 // seeded DropBatches injector and a PanicWorker injector. The oracle routes
 // and batches the same flows in producer order, draws from a second
 // injector with the same seed in the same order, and applies the kept
-// batches to plain per-shard Sketches built like NewShardedOptions builds
+// batches to plain per-shard Sketches built like newSharded builds
 // its shards. Every shard's serialized state must match its oracle byte for
 // byte, and the loss ledger and health must match exactly.
 func TestShardedMatchesSequentialOracle(t *testing.T) {
@@ -40,7 +40,7 @@ func TestShardedMatchesSequentialOracle(t *testing.T) {
 	}
 
 	inj := faultinject.New(0xfeed)
-	s, err := NewShardedOptions(nShards, cfg, ShardedOptions{
+	s, err := newTestSharded(nShards, cfg, ShardedOptions{
 		batchSize: batch,
 		Hooks: ShardedHooks{
 			BeforeEnqueue: inj.DropBatches(0.05),
@@ -52,12 +52,12 @@ func TestShardedMatchesSequentialOracle(t *testing.T) {
 	}
 	h := s.Ingester()
 	for start := 0; start < len(flows); start += 100 {
-		h.ObserveBatch(flows[start:min(start+100, len(flows))])
+		h.observe(flows[start:min(start+100, len(flows))], nil)
 	}
 	s.Close()
 
 	// The oracle's shards: the same budget split and per-shard seeds as
-	// NewShardedOptions.
+	// newSharded.
 	oracle := make([]*Sketch, nShards)
 	for i := range oracle {
 		per := cfg
@@ -169,7 +169,7 @@ func TestShardedMatchesSequentialOracle(t *testing.T) {
 	}
 }
 
-// TestRingShardedStress hammers a ring-mode Sharded from many concurrent
+// TestRingShardedStress hammers a shard set from many concurrent
 // producers (meant for -race -count=5 in CI): per-producer handles, mixed
 // Observe/ObserveBatch/Flush traffic, and a mid-stream straggler that keeps
 // observing while Close runs, exercising the counted-no-op path. The ledger
@@ -179,7 +179,7 @@ func TestRingShardedStress(t *testing.T) {
 		producers   = 8
 		perProducer = 20_000
 	)
-	s, err := NewShardedOptions(3, ringTestConfig(), ShardedOptions{
+	s, err := newTestSharded(3, ringTestConfig(), ShardedOptions{
 		batchSize:  32,
 		queueDepth: 4, // tiny rings force constant wrap-around and full hits
 	})
@@ -197,11 +197,11 @@ func TestRingShardedStress(t *testing.T) {
 			for i := 0; i < perProducer; i++ {
 				f := FlowID(rng.Intn(4000))
 				if p%2 == 0 {
-					h.Observe(f)
+					h.observe([]FlowID{f}, nil)
 				} else {
 					buf = append(buf, f)
 					if len(buf) == cap(buf) {
-						h.ObserveBatch(buf)
+						h.observe(buf, nil)
 						buf = buf[:0]
 					}
 				}
@@ -209,7 +209,7 @@ func TestRingShardedStress(t *testing.T) {
 					h.Flush()
 				}
 			}
-			h.ObserveBatch(buf)
+			h.observe(buf, nil)
 			h.Flush()
 		}(p)
 	}
@@ -229,7 +229,7 @@ func TestRingShardedStress(t *testing.T) {
 // panic, and the ledger must balance.
 func TestRingObserveCloseRace(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
-		s, err := NewShardedOptions(2, ringTestConfig(), ShardedOptions{batchSize: 16})
+		s, err := newTestSharded(2, ringTestConfig(), ShardedOptions{batchSize: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,10 +238,10 @@ func TestRingObserveCloseRace(t *testing.T) {
 		for p := 0; p < 4; p++ {
 			h := s.Ingester() // minted before Close; observing after is the counted no-op
 			wg.Add(1)
-			go func(h *Ingester) {
+			go func(h *ingester) {
 				defer wg.Done()
 				for i := 0; i < perG; i++ {
-					h.Observe(FlowID(i))
+					h.observe([]FlowID{FlowID(i)}, nil)
 				}
 			}(h)
 		}
@@ -255,17 +255,18 @@ func TestRingObserveCloseRace(t *testing.T) {
 }
 
 // TestIngestZeroAllocs gates the steady-state ingest path at (near) zero
-// allocations per packet: batch buffers recycle through the pool and the
-// block router reuses its scratch, so the only allowed allocations are the
-// rare pool refills after a GC (hence the 0.01 packets/alloc tolerance
-// rather than exactly zero). The scalar entry points wrap their argument in
-// a one-element slice, which must stay on the stack.
+// allocations per packet, through the window handle's public entry points:
+// batch buffers recycle through the pool and the block router reuses its
+// scratch, so the only allowed allocations are the rare pool refills after a
+// GC (hence the 0.01 packets/alloc tolerance rather than exactly zero). The
+// scalar entry points wrap their argument in a one-element slice, which must
+// stay on the stack.
 func TestIngestZeroAllocs(t *testing.T) {
-	s, err := NewShardedOptions(4, ringTestConfig(), ShardedOptions{})
+	w, err := NewShardedWindow(1, 4, ringTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := s.Ingester()
+	h := w.Ingester()
 	flows := make([]FlowID, 512)
 	for i := range flows {
 		flows[i] = FlowID(i * 7919)
@@ -294,5 +295,7 @@ func TestIngestZeroAllocs(t *testing.T) {
 				tc.name, perPacket, allocs)
 		}
 	}
-	s.Close()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -18,12 +18,12 @@ import (
 //
 //	sent == NumPackets() + Stats().DroppedAfterClose
 func TestShardedObserveCloseRace(t *testing.T) {
-	s, err := NewSharded(4, Config{
+	s, err := newTestSharded(4, Config{
 		Counters:      1 << 12,
 		CacheEntries:  1 << 8,
 		CacheCapacity: 16,
 		Seed:          1,
-	})
+	}, ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestShardedObserveCloseRace(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; !stop.Load(); i++ {
-				h.Observe(FlowID(uint64(w)<<32 | uint64(i%509)))
+				h.observe([]FlowID{FlowID(uint64(w)<<32 | uint64(i%509))}, nil)
 				sent.Add(1)
 			}
 		}(w)

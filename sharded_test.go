@@ -6,6 +6,12 @@ import (
 	"testing"
 )
 
+// newTestSharded builds a bare shard set, the engine each ShardedWindow
+// epoch runs on, for the tests that drive it directly.
+func newTestSharded(n int, cfg Config, opts ShardedOptions) (*sharded, error) {
+	return newSharded(n, cfg, opts, newTupleHasher(opts.FlowHash, cfg.Seed))
+}
+
 func shardedConfig() Config {
 	return Config{
 		Counters:      1 << 14,
@@ -16,7 +22,7 @@ func shardedConfig() Config {
 }
 
 func TestShardedBasic(t *testing.T) {
-	s, err := NewSharded(4, shardedConfig())
+	s, err := newTestSharded(4, shardedConfig(), ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +32,7 @@ func TestShardedBasic(t *testing.T) {
 	const x = 2000
 	h := s.Ingester()
 	for i := 0; i < x; i++ {
-		h.Observe(77)
+		h.observe([]FlowID{77}, nil)
 	}
 	s.Close()
 	if s.NumPackets() != x {
@@ -42,21 +48,21 @@ func TestShardedBasic(t *testing.T) {
 }
 
 func TestShardedValidation(t *testing.T) {
-	if _, err := NewSharded(-1, shardedConfig()); err == nil {
+	if _, err := newTestSharded(-1, shardedConfig(), ShardedOptions{}); err == nil {
 		t.Error("negative shards accepted")
 	}
-	if _, err := NewSharded(1<<20, shardedConfig()); err == nil {
+	if _, err := newTestSharded(1<<20, shardedConfig(), ShardedOptions{}); err == nil {
 		t.Error("budget smaller than shard count accepted")
 	}
 	cfg := shardedConfig()
 	cfg.Counters = 0
-	if _, err := NewSharded(2, cfg); err == nil {
+	if _, err := newTestSharded(2, cfg, ShardedOptions{}); err == nil {
 		t.Error("zero counters accepted")
 	}
 }
 
 func TestShardedDefaultShardCount(t *testing.T) {
-	s, err := NewSharded(0, shardedConfig())
+	s, err := newTestSharded(0, shardedConfig(), ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +73,7 @@ func TestShardedDefaultShardCount(t *testing.T) {
 }
 
 func TestShardedConcurrentIngest(t *testing.T) {
-	s, err := NewSharded(4, shardedConfig())
+	s, err := newTestSharded(4, shardedConfig(), ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +91,7 @@ func TestShardedConcurrentIngest(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				h.Observe(FlowID((w*perWriter + i) % flows))
+				h.observe([]FlowID{FlowID((w*perWriter + i) % flows)}, nil)
 			}
 		}(w)
 	}
@@ -113,7 +119,7 @@ func TestShardedConcurrentIngest(t *testing.T) {
 }
 
 func TestShardedRouteStability(t *testing.T) {
-	s, err := NewSharded(8, shardedConfig())
+	s, err := newTestSharded(8, shardedConfig(), ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +133,7 @@ func TestShardedRouteStability(t *testing.T) {
 }
 
 func TestShardedRouteBalance(t *testing.T) {
-	s, err := NewSharded(8, shardedConfig())
+	s, err := newTestSharded(8, shardedConfig(), ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +152,7 @@ func TestShardedRouteBalance(t *testing.T) {
 }
 
 func TestShardedCloseIdempotentAndGates(t *testing.T) {
-	s, err := NewSharded(2, shardedConfig())
+	s, err := newTestSharded(2, shardedConfig(), ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +160,7 @@ func TestShardedCloseIdempotentAndGates(t *testing.T) {
 		t.Fatal("Estimator before Close accepted")
 	}
 	h := s.Ingester()
-	h.Observe(1)
+	h.observe([]FlowID{1}, nil)
 	s.Close()
 	s.Close() // idempotent
 	if _, err := s.Estimator(); err != nil {
@@ -162,8 +168,8 @@ func TestShardedCloseIdempotentAndGates(t *testing.T) {
 	}
 	// Observe after Close is the documented counted no-op: the packet is
 	// discarded, accounted in DroppedAfterClose, and the sketch is untouched.
-	h.Observe(2)
-	h.ObserveBatch([]FlowID{3, 4, 5})
+	h.observe([]FlowID{2}, nil)
+	h.observe([]FlowID{3, 4, 5}, nil)
 	if got := s.NumPackets(); got != 1 {
 		t.Fatalf("NumPackets after post-Close observes = %d, want 1", got)
 	}
@@ -177,13 +183,13 @@ func TestShardedCloseIdempotentAndGates(t *testing.T) {
 }
 
 func TestShardedStatsAggregate(t *testing.T) {
-	s, err := NewSharded(4, shardedConfig())
+	s, err := newTestSharded(4, shardedConfig(), ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := s.Ingester()
 	for i := 0; i < 10000; i++ {
-		h.Observe(FlowID(i % 500))
+		h.observe([]FlowID{FlowID(i % 500)}, nil)
 	}
 	s.Close()
 	st := s.Stats()
@@ -204,14 +210,14 @@ func TestShardedMatchesSingleSketchPerFlow(t *testing.T) {
 	// A flow's estimate in the sharded sketch must match a single sketch
 	// configured like its shard and fed only that shard's flows.
 	cfg := shardedConfig()
-	s, err := NewSharded(2, cfg)
+	s, err := newTestSharded(2, cfg, ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const flows = 100
 	h := s.Ingester()
 	for i := 0; i < 30000; i++ {
-		h.Observe(FlowID(i % flows))
+		h.observe([]FlowID{FlowID(i % flows)}, nil)
 	}
 	s.Close()
 	est, err := s.Estimator()
@@ -233,31 +239,9 @@ func TestShardedMatchesSingleSketchPerFlow(t *testing.T) {
 	}
 }
 
-func TestShardedSetDistribution(t *testing.T) {
-	s, err := NewSharded(2, shardedConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := s.Ingester()
-	for i := 0; i < 20000; i++ {
-		h.Observe(FlowID(i % 300))
-	}
-	s.Close()
-	est, err := s.Estimator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, narrow := est.EstimateWithInterval(5, 0.95)
-	est.SetDistribution(300, 10000)
-	_, wide := est.EstimateWithInterval(5, 0.95)
-	if wide.Width() <= narrow.Width() {
-		t.Fatal("SetDistribution did not widen intervals")
-	}
-}
-
 func BenchmarkShardedObserve(b *testing.B) {
-	s, err := NewSharded(4, Config{
-		Counters: 1 << 16, CacheEntries: 1 << 12, CacheCapacity: 64, Seed: 1})
+	s, err := newTestSharded(4, Config{
+		Counters: 1 << 16, CacheEntries: 1 << 12, CacheCapacity: 64, Seed: 1}, ShardedOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -266,7 +250,7 @@ func BenchmarkShardedObserve(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			h.Observe(FlowID(i & 8191))
+			h.observe([]FlowID{FlowID(i & 8191)}, nil)
 			i++
 		}
 	})

@@ -12,17 +12,30 @@ import (
 	"github.com/caesar-sketch/caesar/internal/stats"
 )
 
-// ShardedWindow composes the two production layers this repository grew
-// separately — the overload-hardened parallel ingest plane (Sharded) and
-// the sliding epoch window (Window) — into one continuously-queryable
-// measurement surface: producers ingest at line rate through per-producer
-// handles while queries answer from the sealed epochs, and Rotate moves
-// packets from one side to the other without stopping either.
+// ShardedWindow is the package's concurrent measurement surface: a
+// sliding window of epochs, each ingested in parallel by its own shard
+// set. Producers ingest at line rate through per-producer handles while
+// queries answer from the sealed epochs, and Rotate moves packets from one
+// side to the other without stopping either. A one-epoch window is the
+// plain parallel sketch: ingest, Close (which seals the only epoch), query.
+//
+// # Shards
+//
+// An epoch's shard set fans ingestion out over nshards independent CAESAR
+// sketches, one worker goroutine per shard, with flows routed by hash so
+// every flow lives in exactly one shard. This is the software analogue of
+// replicating the measurement pipeline across switch ports: shards share
+// nothing, so ingest scales with cores while every per-flow guarantee of a
+// single sketch still holds within its shard. The per-epoch budget in
+// Config is divided among shards: every shard gets Counters/nshards
+// counters and CacheEntries/nshards cache entries, and the division
+// remainders go one per shard to the first shards, so the per-shard totals
+// sum exactly to the configured budget.
 //
 // # Epoch rotation and the seal barrier
 //
-// Each epoch is a complete Sharded shard set (workers, queues, loss
-// ledger). Rotation is double-buffered:
+// Each epoch is a complete shard set (workers, queues, loss ledger).
+// Rotation is double-buffered:
 //
 //  1. The next epoch's shard set is built while the current one keeps
 //     ingesting — producers never wait on construction.
@@ -30,23 +43,23 @@ import (
 //     holds each handle's mutex just long enough to exchange a pointer, so
 //     a producer stalls for at most one in-flight Observe.
 //  3. The seal barrier: the old epoch is closed, which drains every one of
-//     its Ingester handles (including partially-filled producer buffers),
-//     waits for its shard workers, and flushes every shard's cache to its
-//     counters — while producers are already ingesting into the next
-//     epoch.
-//  4. The sealed epoch joins the query ring as a frozen ShardedEstimator;
-//     the oldest sealed epoch is retired once the ring holds `epochs`.
+//     its handles (including partially-filled producer buffers), waits for
+//     its shard workers, and flushes every shard's cache to its counters —
+//     while producers are already ingesting into the next epoch.
+//  4. The sealed epoch joins the query ring as a frozen query view; the
+//     oldest sealed epoch is retired once the ring holds `epochs`.
 //
-// Because the seal reuses Sharded's shutdown machinery, every packet that
-// entered a handle is either applied to the sealed epoch's counters or
-// counted in its drop ledger, and the window-wide invariant
+// Because the seal is the shard set's shutdown, every packet that entered a
+// handle is either applied to the sealed epoch's counters or counted in its
+// drop ledger, and the window-wide invariant
 //
 //	packets observed == NumPackets() + DroppedPackets()
 //
 // holds exactly after Close, across any number of rotations and epoch
 // retirements (retired epochs fold their totals into cumulative counters
 // before leaving the ring). The chaos suite pins this under concurrent
-// multi-handle ingest and worker panics injected mid-seal.
+// multi-handle ingest and worker panics injected mid-seal; docs/ROBUSTNESS.md
+// describes the overflow policies, quarantine and deadline-bounded seals.
 //
 // # Concurrency contract
 //
@@ -80,7 +93,7 @@ type ShardedWindow struct {
 	// accumulators. Rotate takes the write side only for the final ring
 	// push; queries take the read side briefly to snapshot the ring.
 	ringMu sync.RWMutex
-	lc     *epoch.Lifecycle[*Sharded, *windowEpoch]
+	lc     *epoch.Lifecycle[*sharded, *windowEpoch]
 
 	// Cumulative totals of epochs retired from the ring, so the ledger
 	// invariant spans the whole run, not just the epochs still queryable.
@@ -89,8 +102,9 @@ type ShardedWindow struct {
 	retiredStats   Stats
 
 	// queryMu serializes queries: sealed shard estimators reuse scratch
-	// buffers, so concurrent queries must not interleave on them. grp and
-	// sums are the bulk queries' shard grouping and per-flow sums.
+	// buffers, so concurrent queries must not interleave on them.
+	// epochScratch is the epoch list a query runs over, and grp and sums are
+	// the bulk queries' shard grouping and per-flow sums.
 	queryMu      sync.Mutex
 	epochScratch []*windowEpoch
 	grp          shardGroups
@@ -101,8 +115,8 @@ type ShardedWindow struct {
 // counters and the loss ledger) and its frozen query view.
 type windowEpoch struct {
 	rotation int // 0-based epoch ordinal since window construction
-	sh       *Sharded
-	est      *ShardedEstimator
+	sh       *sharded
+	est      *shardedEstimator
 }
 
 // NewShardedWindow builds a sliding window of `epochs` sealed epochs over
@@ -126,7 +140,7 @@ func NewShardedWindowOptions(epochs, nshards int, cfg Config, opts ShardedOption
 		return nil, err
 	}
 	w.nshards = first.NumShards() // pin the GOMAXPROCS default for later epochs
-	lc, err := epoch.NewLifecycle[*Sharded, *windowEpoch](epochs, first)
+	lc, err := epoch.NewLifecycle[*sharded, *windowEpoch](epochs, first)
 	if err != nil {
 		first.Close()
 		return nil, err
@@ -137,10 +151,10 @@ func NewShardedWindowOptions(epochs, nshards int, cfg Config, opts ShardedOption
 
 // newEpochSharded builds the shard set for the rotation-th epoch. The
 // epoch seed strides by nshards+1 rotations so that no (epoch, shard) pair
-// ever reuses another pair's hash seed — Sharded derives shard i's seed at
-// offset i from the epoch seed, and the next epoch starts beyond shard
+// ever reuses another pair's hash seed — newSharded derives shard i's seed
+// at offset i from the epoch seed, and the next epoch starts beyond shard
 // n-1's offset.
-func (w *ShardedWindow) newEpochSharded(rotation int) (*Sharded, error) {
+func (w *ShardedWindow) newEpochSharded(rotation int) (*sharded, error) {
 	per := w.cfg
 	stride := w.nshards + 1
 	if stride < 2 {
@@ -171,7 +185,7 @@ func (w *ShardedWindow) Rotations() int {
 // Ingester returns a new per-producer ingest handle bound to the window.
 // The handle survives rotations: Rotate re-points it at the next epoch's
 // shard set, so producers hold one handle for the life of the window.
-// Minting from a closed window panics, like Sharded.Ingester.
+// Minting from a closed window panics.
 func (w *ShardedWindow) Ingester() *WindowIngester {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -185,25 +199,25 @@ func (w *ShardedWindow) Ingester() *WindowIngester {
 
 // HashTuple derives the flow ID the window's ingest paths would assign to
 // the tuple: the keyed fast hash when opts.FlowHash == FlowHashFast, the
-// paper-faithful SHA-1 ⊕ APHash derivation otherwise. Unlike a standalone
-// Sharded's hasher, this mapping is fixed for the life of the window, so
-// callers can hash once and query the same FlowID across rotations.
+// paper-faithful SHA-1 ⊕ APHash derivation otherwise. The mapping is keyed
+// from the base seed and fixed for the life of the window, so callers can
+// hash once and query the same FlowID across rotations.
 func (w *ShardedWindow) HashTuple(t FiveTuple) FlowID { return w.ids.id(t) }
 
 // WindowIngester is a per-producer ingest handle that follows the window
-// across rotations. It wraps the current epoch's Ingester; Rotate swaps
+// across rotations. It wraps the current epoch's handle; Rotate swaps
 // the wrapped handle under the same mutex the packet path holds, so a
 // call's packets (a whole block included) are never split between epochs
 // and a swap never loses buffered packets (the old epoch's seal barrier
 // drains them).
 type WindowIngester struct {
 	mu sync.Mutex
-	h  *Ingester // current epoch's handle, guarded by mu
+	h  *ingester // current epoch's handle, guarded by mu
 }
 
 // Observe records one packet in the window's current epoch. After the
 // window closes, packets land in the final epoch's DroppedAfterClose
-// ledger — a counted no-op, exactly like Sharded's contract.
+// ledger: a counted no-op that keeps the ledger invariant exact.
 func (wi *WindowIngester) Observe(flow FlowID) { wi.observe([]FlowID{flow}, nil) }
 
 // ObserveBatch records a batch of packets in the window's current epoch
@@ -240,7 +254,7 @@ func (wi *WindowIngester) Flush() {
 // swap re-points the handle at the next epoch. Holding wi.mu orders the
 // swap after any in-flight Observe on the old epoch, so the old epoch's
 // close barrier sees every packet this handle accepted for it.
-func (wi *WindowIngester) swap(h *Ingester) {
+func (wi *WindowIngester) swap(h *ingester) {
 	wi.mu.Lock()
 	wi.h = h
 	wi.mu.Unlock()
@@ -290,12 +304,12 @@ func (w *ShardedWindow) RotateContext(ctx context.Context) error {
 // as the current epoch, folding a retired epoch's totals into the
 // cumulative counters. Called with w.mu held; takes the ring write lock
 // only for the push itself.
-func (w *ShardedWindow) sealInto(old *Sharded, next *Sharded) {
+func (w *ShardedWindow) sealInto(old *sharded, next *sharded) {
 	est, err := old.Estimator()
 	if err != nil {
 		// Unreachable: the epoch was just closed, and Estimator only fails
 		// on an open sketch. Seal an empty view rather than lose the epoch.
-		est = &ShardedEstimator{owner: old, ests: make([]*Estimator, old.NumShards())}
+		est = &shardedEstimator{owner: old, ests: make([]*Estimator, old.NumShards())}
 	}
 	we := &windowEpoch{rotation: w.lc.Rotations(), sh: old, est: est}
 	w.ringMu.Lock()
@@ -435,7 +449,7 @@ func accumulateStats(dst *Stats, src Stats) {
 // ledgerStats builds a Stats carrying only the per-cause loss ledger — the
 // atomic counters that are safe to read while workers are still applying
 // batches.
-func (s *Sharded) ledgerStats() Stats {
+func (s *sharded) ledgerStats() Stats {
 	return Stats{
 		DroppedOverflow:   s.drops.overflow.Load(),
 		DroppedSampled:    s.drops.sampled.Load(),
@@ -521,19 +535,36 @@ func (w *ShardedWindow) QueryAll(flows []FlowID, m Method, workers int, dst []fl
 func (w *ShardedWindow) queryAllWindow(flows []FlowID, m Method, workers int, dst []float64) []float64 {
 	w.queryMu.Lock()
 	defer w.queryMu.Unlock()
+	return w.sumEpochs(w.snapshotEpochs(), flows, m, workers, dst)
+}
+
+// sumEpochs is the one bulk-query path of the window and its epoch views:
+// every flow's estimate summed over epochs, in order, landing at the flow's
+// input position in the result (dst reused when it has capacity). Each sum
+// starts at +0 and adds the epochs' estimates in turn, as the scalar
+// Estimate does, so the result is bit-identical to it; for a one-epoch list
+// that is +0 + x, which is x bit for bit because CSM and MLM never return
+// −0. Called with queryMu held: the shard grouping and the sums are query
+// scratch.
+func (w *ShardedWindow) sumEpochs(epochs []*windowEpoch, flows []FlowID, m Method, workers int, dst []float64) []float64 {
 	out := resizeFloats(dst, len(flows))
 	clear(out)
-	epochs := w.snapshotEpochs()
 	if len(flows) == 0 || len(epochs) == 0 {
 		return out
 	}
+	cm := coreMethod(m)
 	n := len(epochs[0].est.ests)
 	if n == 1 {
 		// One shard owns every flow, so there is nothing to group; each
-		// epoch's estimator fans flow chunks out across workers itself.
+		// epoch's estimator fans flow chunks out across workers itself. An
+		// unrecoverable shard estimates 0, which adds nothing.
 		part := w.sums
 		for _, we := range epochs {
-			part = we.est.queryAll(flows, m, workers, part)
+			est := we.est.ests[0]
+			if est == nil {
+				continue
+			}
+			part = est.e.QueryAll(flows, cm, workers, part)
 			for i, v := range part {
 				out[i] += v
 			}
@@ -544,12 +575,12 @@ func (w *ShardedWindow) queryAllWindow(flows []FlowID, m Method, workers int, ds
 
 	// Every epoch routes with shardRouteSeed over the same shard count
 	// (ReadShardedWindow rejects a snapshot whose epochs disagree), so one
-	// grouping serves them all. Workers own whole shards, as in
-	// ShardedEstimator.queryAll, and the serial path stays closure-free for
-	// the same zero-alloc reason.
+	// grouping serves them all. Workers own whole shards — shard groups
+	// write disjoint positions of out — and the serial path runs the shard
+	// loop directly: handing a closure to bulk.Do would heap-allocate it and
+	// break the steady-state zero-alloc contract.
 	w.grp.group(epochs[0].est.owner.router, flows)
 	w.sums = resizeFloats(w.sums, len(flows))
-	cm := coreMethod(m)
 	if nw := bulk.Workers(workers, n); nw <= 1 {
 		w.sumShards(epochs, cm, 0, n, out)
 	} else {
@@ -560,11 +591,9 @@ func (w *ShardedWindow) queryAllWindow(flows []FlowID, m Method, workers int, ds
 
 // sumShards runs, for each shard in [s0, s1), that shard's bulk pass in
 // every sealed epoch, in sealed order, accumulating into the grouped sums,
-// then scatters each flow's sum to its input position in out. The sums
-// start at +0 and add each epoch's estimate in turn, exactly as Estimate
-// does, so they are bit-identical to it. An unrecoverable shard estimates
-// 0, and adding 0 to a sum that started at +0 changes no bit, so its
-// epoch is skipped.
+// then scatters each flow's sum to its input position in out. An
+// unrecoverable shard estimates 0, and adding 0 to a sum that started at +0
+// changes no bit, so its epoch is skipped.
 func (w *ShardedWindow) sumShards(epochs []*windowEpoch, cm core.Method, s0, s1 int, out []float64) {
 	g := &w.grp
 	for s := s0; s < s1; s++ {
@@ -658,15 +687,20 @@ func (v EpochView) EstimateWithInterval(flow FlowID, alpha float64) (float64, In
 // EstimateMany bulk-estimates every flow within this epoch alone;
 // flows[i]'s estimate lands at index i.
 func (v EpochView) EstimateMany(flows []FlowID, m Method, dst []float64) []float64 {
-	v.w.queryMu.Lock()
-	defer v.w.queryMu.Unlock()
-	return v.we.est.EstimateMany(flows, m, dst)
+	return v.QueryAll(flows, m, 1, dst)
 }
 
 // QueryAll is EstimateMany with the per-shard passes parallelized across
-// workers goroutines; output is bit-identical at any worker count.
+// workers goroutines; output is bit-identical at any worker count. The
+// epoch goes through the window's bulk path as a one-epoch list kept in
+// the query scratch (a slice literal here would allocate per call), and
+// leaves it on return: the view's epoch may already be retired, and the
+// window's scratch must not keep it reachable.
 func (v EpochView) QueryAll(flows []FlowID, m Method, workers int, dst []float64) []float64 {
-	v.w.queryMu.Lock()
-	defer v.w.queryMu.Unlock()
-	return v.we.est.QueryAll(flows, m, workers, dst)
+	w := v.w
+	w.queryMu.Lock()
+	defer w.queryMu.Unlock()
+	w.epochScratch = append(w.epochScratch[:0], v.we)
+	defer clear(w.epochScratch)
+	return w.sumEpochs(w.epochScratch, flows, m, workers, dst)
 }

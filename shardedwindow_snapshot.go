@@ -13,11 +13,11 @@ import (
 const shardedWindowAlgoName = "caesar-shardedwindow"
 
 // WriteTo serializes the window's sealed epochs — each one a complete
-// shard-set state, identical to what Sharded.Snapshot writes — plus the
-// retired-epoch accumulators, so a restored window (or an offline query
-// process) answers bit-identically to the live one and the lifetime
-// ledger survives the restart. The still-open epoch is NOT included,
-// exactly mirroring queries; call Rotate (or Close) first to fold it in.
+// shard-set state — plus the retired-epoch accumulators and the FlowHash,
+// so a restored window (or an offline query process) answers
+// bit-identically to the live one and the lifetime ledger survives the
+// restart. The still-open epoch is NOT included, exactly mirroring
+// queries; call Rotate (or Close) first to fold it in.
 //
 // Safe to call while ingesting and rotating: sealed epochs are immutable,
 // and the ring is snapshotted under the ring lock. Implements io.WriterTo;
@@ -59,6 +59,10 @@ func (w *ShardedWindow) WriteTo(dst io.Writer) (int64, error) {
 			we.sh.encodeState(e)
 		})
 	}
+	// Trailing optional section: the FlowHash the epochs' flow IDs were
+	// derived under. Written last so older readers, which stop after the
+	// epochs, still load the snapshot.
+	e.Section("hash", func(e *sketch.Encoder) { e.U8(uint8(w.opts.FlowHash)) })
 	return sketch.WriteSnapshot(dst, shardedWindowAlgoName, e.Bytes())
 }
 
@@ -70,21 +74,25 @@ func (w *ShardedWindow) SnapshotFile(path string) error {
 }
 
 // ReadShardedWindow loads a snapshot written by ShardedWindow.WriteTo into
-// a live window: the sealed epochs answer queries bit-identically to the
-// writer's (each is restored through the same state codec as
-// ReadShardedSnapshot), the retired-epoch ledger resumes where it left
-// off, and a fresh current epoch is started at the writer's rotation
-// ordinal — so its hash seeds, and every later epoch's, match what the
-// writer would have used had it kept running.
+// a live window with default ingest options: the sealed epochs answer
+// queries bit-identically to the writer's, the retired-epoch ledger resumes
+// where it left off, and a fresh current epoch is started at the writer's
+// rotation ordinal — so its hash seeds, and every later epoch's, match what
+// the writer would have used had it kept running. A snapshot written under
+// FlowHashFast is rejected; load it with ReadShardedWindowOptions.
 func ReadShardedWindow(r io.Reader) (*ShardedWindow, error) {
 	return ReadShardedWindowOptions(r, ShardedOptions{})
 }
 
 // ReadShardedWindowOptions is ReadShardedWindow with explicit ingest
-// options for the restored window. Snapshots persist only the counter
-// state, not the runtime options, so a daemon restoring a checkpoint must
-// re-supply its overflow policy and hooks here or the fresh current epoch
-// (and every later one) silently reverts to the defaults.
+// options for the restored window. Snapshots persist the counter state and
+// the FlowHash, not the runtime options, so a daemon restoring a checkpoint
+// must re-supply its overflow policy and hooks here or the fresh current
+// epoch (and every later one) silently reverts to the defaults. The
+// FlowHash must match the snapshot's: the restored flow IDs were derived
+// under it, so a window hashing tuples the other way would address other
+// flows. A snapshot from a writer that predates the FlowHash section loads
+// under any opts.FlowHash.
 func ReadShardedWindowOptions(r io.Reader, opts ShardedOptions) (*ShardedWindow, error) {
 	payload, _, err := sketch.ReadSnapshot(r, shardedWindowAlgoName)
 	if err != nil {
@@ -139,7 +147,7 @@ func ReadShardedWindowOptions(r io.Reader, opts ShardedOptions) (*ShardedWindow,
 	sealed := make([]*windowEpoch, 0, nSealed)
 	for i := 0; i < nSealed; i++ {
 		var rot int
-		var sh *Sharded
+		var sh *sharded
 		var epochErr error
 		d.Section("epch", func(d *sketch.Decoder) {
 			rot = d.Int()
@@ -161,6 +169,16 @@ func ReadShardedWindowOptions(r io.Reader, opts ShardedOptions) (*ShardedWindow,
 			return nil, fmt.Errorf("caesar: sealed epoch %d: %w", i, err)
 		}
 		sealed = append(sealed, &windowEpoch{rotation: rot, sh: sh, est: est})
+	}
+	if d.Remaining() > 0 {
+		var fh FlowHash
+		d.Section("hash", func(d *sketch.Decoder) { fh = FlowHash(d.U8()) })
+		if err := d.Err(); err != nil {
+			return nil, err
+		}
+		if fh != opts.FlowHash {
+			return nil, fmt.Errorf("caesar: snapshot flow IDs were derived under FlowHash %v, restore asks for %v", fh, opts.FlowHash)
+		}
 	}
 
 	w := &ShardedWindow{

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"github.com/caesar-sketch/caesar/internal/sketch"
 	"github.com/caesar-sketch/caesar/internal/stats"
 )
 
@@ -544,5 +547,151 @@ func TestReadShardedWindowRejectsShardMismatch(t *testing.T) {
 	_, err = ReadShardedWindow(&buf)
 	if err == nil || !strings.Contains(err.Error(), "sealed epoch 1 has 3 shards") {
 		t.Fatalf("ReadShardedWindow = %v, want a shard-count error naming sealed epoch 1", err)
+	}
+}
+
+// TestShardedWindowSnapshotPersistsFlowHash pins the checkpoint's FlowHash
+// section: a fast-hash window restored under FlowHashFast derives the same
+// tuple IDs and answers the same estimates, and a restore under the default
+// SHA-1 hash, whose IDs would address other flows, is refused naming both.
+func TestShardedWindowSnapshotPersistsFlowHash(t *testing.T) {
+	opts := ShardedOptions{FlowHash: FlowHashFast}
+	w, err := NewShardedWindowOptions(2, 2, shardedWindowConfig(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	tuples := flowHashTuples(256)
+	h := w.Ingester()
+	for e := 0; e < 2; e++ {
+		for rep := 0; rep <= e; rep++ {
+			h.ObservePackets(tuples)
+		}
+		if err := w.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := ReadShardedWindowOptions(bytes.NewReader(buf.Bytes()), opts)
+	if err != nil {
+		t.Fatalf("fast-hash restore: %v", err)
+	}
+	defer r.Close()
+	for _, tt := range tuples[:64] {
+		id := w.HashTuple(tt)
+		if got := r.HashTuple(tt); got != id {
+			t.Fatalf("HashTuple(%v): restored %#x, writer %#x", tt, uint64(got), uint64(id))
+		}
+		for _, m := range []Method{CSM, MLM} {
+			if a, b := w.Estimate(id, m), r.Estimate(id, m); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("flow %#x %v: writer %v, restored %v", uint64(id), m, a, b)
+			}
+		}
+	}
+
+	_, err = ReadShardedWindow(bytes.NewReader(buf.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "FlowHash fast") || !strings.Contains(err.Error(), "sha1") {
+		t.Fatalf("SHA-1 restore of a fast-hash checkpoint = %v, want an error naming both hashes", err)
+	}
+}
+
+// goldenCheckpointWindow builds the window testdata/shardedwindow.csnp was
+// written from: 2 shards and 2 epochs, three seals (so the first epoch is
+// retired), one handle under the Block policy, and five observes after
+// Close counted in the final epoch's ledger.
+func goldenCheckpointWindow(t *testing.T) *ShardedWindow {
+	t.Helper()
+	w, err := NewShardedWindow(2, 2, Config{Counters: 1 << 10, CacheEntries: 1 << 6, CacheCapacity: 16, Seed: 2026})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := w.Ingester()
+	for e := 0; e < 3; e++ {
+		for i := 0; i < 4000; i++ {
+			h.Observe(FlowID((i*7 + e*13) % (200 + 50*e)))
+		}
+		if e < 2 {
+			if err := w.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		h.Observe(FlowID(i))
+	}
+	return w
+}
+
+// TestShardedWindowGoldenCheckpoint restores testdata/shardedwindow.csnp, a
+// daemon-shaped checkpoint written before checkpoints carried the FlowHash
+// section, and checks it against values pinned when it was written: a
+// daemon restarted on a newer binary must answer from its old checkpoint
+// exactly so. The file is never regenerated. The writer half rebuilds the
+// same window and requires today's payload to be the golden payload, byte
+// for byte, followed only by the FlowHash section.
+func TestShardedWindowGoldenCheckpoint(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "shardedwindow.csnp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := []struct {
+		flow     FlowID
+		csm, mlm float64
+	}{
+		{0, 32.8046875, 36.6178957517371},
+		{1, 13.3203125, 17.436546537391347},
+		{7, 14.3203125, 17.919557382892275},
+		{42, 38.3203125, 44.44571685608129},
+		{199, 22.3203125, 28.293631637569575},
+		{249, 26.8046875, 33.2257304704891},
+		{1000, -0.1953125, 10.636366399358582},
+	}
+	// Without a FlowHash section the checkpoint restores under either hash.
+	for _, fh := range []FlowHash{FlowHashSHA1, FlowHashFast} {
+		w, err := ReadShardedWindowOptions(bytes.NewReader(golden), ShardedOptions{FlowHash: fh})
+		if err != nil {
+			t.Fatalf("FlowHash %v: %v", fh, err)
+		}
+		if w.Rotations() != 3 || w.EpochsSealed() != 2 || w.NumPackets() != 12000 || w.DroppedPackets() != 5 {
+			t.Fatalf("FlowHash %v: rotations %d, sealed %d, packets %d, dropped %d; want 3, 2, 12000, 5",
+				fh, w.Rotations(), w.EpochsSealed(), w.NumPackets(), w.DroppedPackets())
+		}
+		for _, p := range pinned {
+			if got := w.Estimate(p.flow, CSM); got != p.csm {
+				t.Errorf("FlowHash %v: flow %d CSM = %v, pinned %v", fh, p.flow, got, p.csm)
+			}
+			if got := w.Estimate(p.flow, MLM); got != p.mlm {
+				t.Errorf("FlowHash %v: flow %d MLM = %v, pinned %v", fh, p.flow, got, p.mlm)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	want, _, err := sketch.ReadSnapshot(bytes.NewReader(golden), shardedWindowAlgoName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hash sketch.Encoder
+	hash.Section("hash", func(e *sketch.Encoder) { e.U8(uint8(FlowHashSHA1)) })
+	want = append(want, hash.Bytes()...)
+	var buf bytes.Buffer
+	if _, err := goldenCheckpointWindow(t).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := sketch.ReadSnapshot(&buf, shardedWindowAlgoName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("today's writer: %d-byte payload differs from the golden payload plus the FlowHash section (%d bytes)", len(got), len(want))
 	}
 }

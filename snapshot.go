@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"github.com/caesar-sketch/caesar/internal/core"
-	"github.com/caesar-sketch/caesar/internal/epoch"
 	"github.com/caesar-sketch/caesar/internal/hashing"
 	"github.com/caesar-sketch/caesar/internal/sketch"
 	"github.com/caesar-sketch/caesar/internal/snapfile"
@@ -18,12 +17,6 @@ import (
 // observes traffic and writes its end-of-epoch state; a query process loads
 // it — anywhere, any time later — and computes bit-identical estimates and
 // confidence intervals.
-
-// shardedAlgoName identifies multi-shard snapshots in the CSNP container.
-const shardedAlgoName = "caesar-sharded"
-
-// windowAlgoName identifies sliding-window snapshots in the CSNP container.
-const windowAlgoName = "caesar-window"
 
 // WriteTo serializes the sketch's complete end-of-epoch state, flushing the
 // construction phase first. It implements io.WriterTo; load the snapshot
@@ -69,26 +62,10 @@ func (sk *Sketch) EstimateMany(flows []FlowID, dst []float64) []float64 {
 	return sk.s.EstimateMany(flows, dst)
 }
 
-// Snapshot serializes every shard's end-of-epoch state into one snapshot.
-// The Sharded must be closed first: snapshotting while workers are still
-// draining would capture a torn state. Load with ReadShardedSnapshot.
-func (s *Sharded) Snapshot(w io.Writer) (int64, error) {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if !closed {
-		return 0, fmt.Errorf("caesar: Snapshot before Close; call Close to drain ingestion first")
-	}
-	var e sketch.Encoder
-	s.encodeState(&e)
-	return sketch.WriteSnapshot(w, shardedAlgoName, e.Bytes())
-}
-
 // encodeState writes the closed shard set's complete state — shard count,
 // every shard sketch, and the loss ledger — as sections into e. It is the
-// payload of Snapshot and of each sealed epoch inside a ShardedWindow
-// snapshot.
-func (s *Sharded) encodeState(e *sketch.Encoder) {
+// payload of each sealed epoch inside a ShardedWindow snapshot.
+func (s *sharded) encodeState(e *sketch.Encoder) {
 	e.Section("conf", func(e *sketch.Encoder) { e.Int(len(s.shards)) })
 	for _, sk := range s.shards {
 		e.Section("shrd", sk.s.EncodeState)
@@ -118,24 +95,11 @@ func (s *Sharded) encodeState(e *sketch.Encoder) {
 	})
 }
 
-// ReadShardedSnapshot loads a snapshot written by Sharded.Snapshot. The
-// result is query-only: it accepts Estimator, Stats, and NumPackets calls
-// and routes flows to shards exactly as the writer did, but it is already
-// closed — minting an Ingester panics and Close is a no-op.
-func ReadShardedSnapshot(r io.Reader) (*Sharded, error) {
-	payload, _, err := sketch.ReadSnapshot(r, shardedAlgoName)
-	if err != nil {
-		return nil, err
-	}
-	return decodeShardedState(sketch.NewDecoder(payload))
-}
-
 // decodeShardedState rebuilds a query-only shard set from the sections
 // written by encodeState. The decoder must be scoped to exactly that state
-// (the whole payload for Snapshot, one epoch's section for a ShardedWindow
-// snapshot): the optional trailing loss ledger is detected by the bytes
-// remaining in this decoder.
-func decodeShardedState(d *sketch.Decoder) (*Sharded, error) {
+// (one epoch's section of a ShardedWindow snapshot): the optional trailing
+// loss ledger is detected by the bytes remaining in this decoder.
+func decodeShardedState(d *sketch.Decoder) (*sharded, error) {
 	var n int
 	d.Section("conf", func(d *sketch.Decoder) { n = d.Int() })
 	if err := d.Err(); err != nil {
@@ -144,14 +108,13 @@ func decodeShardedState(d *sketch.Decoder) (*Sharded, error) {
 	if n < 1 || n > 1<<20 {
 		return nil, fmt.Errorf("caesar: implausible snapshot shard count %d", n)
 	}
-	s := &Sharded{
+	s := &sharded{
 		shards:       make([]*Sketch, n),
 		router:       hashing.NewShardRouter(n, shardRouteSeed),
 		closed:       true,
 		abort:        make(chan struct{}),
 		shardDropped: make([]paddedCounter, n),
 		shardDown:    make([]atomic.Uint32, n),
-		panicReasons: make(map[int]string),
 	}
 	for i := range s.shards {
 		var cs *core.Sketch
@@ -198,122 +161,15 @@ func decodeShardedState(d *sketch.Decoder) (*Sharded, error) {
 	return s, nil
 }
 
-// SnapshotFile writes the sharded snapshot to path crash-safely: the bytes
-// land in a temp file in the same directory, are fsynced, and are renamed
-// over path atomically, so a crash mid-save leaves either the old file or
-// the new one — never a torn CSNP that the loader would reject.
-func (s *Sharded) SnapshotFile(path string) error {
-	return WriteSnapshotFile(path, writerToFunc(s.Snapshot))
-}
-
-// SnapshotFile writes the sketch snapshot (Sketch.WriteTo) to path with the
-// same crash-safe temp-file + fsync + atomic-rename discipline.
+// SnapshotFile writes the sketch snapshot (Sketch.WriteTo) to path
+// crash-safely: temp file, fsync, atomic rename (see WriteSnapshotFile).
 func (sk *Sketch) SnapshotFile(path string) error {
 	return WriteSnapshotFile(path, sk)
 }
 
-// WriteSnapshotFile writes any snapshot source (Sketch, Sharded via
-// SnapshotFile, Window, ...) to path atomically; see internal/snapfile for
-// the crash-safety contract.
+// WriteSnapshotFile writes any snapshot source (a Sketch, a ShardedWindow,
+// ...) to path atomically; see internal/snapfile for the crash-safety
+// contract.
 func WriteSnapshotFile(path string, src io.WriterTo) error {
 	return snapfile.Write(path, src)
-}
-
-// writerToFunc adapts a WriteTo-shaped method to io.WriterTo.
-type writerToFunc func(io.Writer) (int64, error)
-
-func (f writerToFunc) WriteTo(w io.Writer) (int64, error) { return f(w) }
-
-// WriteTo serializes the window's sealed epochs. The current, still-
-// ingesting epoch is NOT included — exactly mirroring queries, which cover
-// sealed epochs only; call Rotate first to fold it in. It implements
-// io.WriterTo; load with ReadWindow.
-func (w *Window) WriteTo(dst io.Writer) (int64, error) {
-	var e sketch.Encoder
-	e.Section("conf", func(e *sketch.Encoder) {
-		e.Int(w.cfg.K)
-		e.Int(w.cfg.Counters)
-		e.Int(w.cfg.CounterBits)
-		e.Int(w.cfg.CacheEntries)
-		e.U64(w.cfg.CacheCapacity)
-		e.U8(uint8(w.cfg.Policy))
-		e.U64(w.cfg.Seed)
-	})
-	e.Section("wind", func(e *sketch.Encoder) {
-		e.Int(w.lc.Capacity())
-		e.Int(w.lc.Rotations())
-		e.Int(w.lc.Len())
-	})
-	for i, n := 0, w.lc.Len(); i < n; i++ {
-		e.Section("epok", w.lc.At(i).e.EncodeEstimatorState)
-	}
-	return sketch.WriteSnapshot(dst, windowAlgoName, e.Bytes())
-}
-
-// ReadWindow loads a snapshot written by Window.WriteTo. The sealed epochs
-// answer queries bit-identically to the writer's; a fresh (empty) current
-// epoch is started, so the window can keep measuring from where the
-// snapshot left off.
-func ReadWindow(r io.Reader) (*Window, error) {
-	payload, _, err := sketch.ReadSnapshot(r, windowAlgoName)
-	if err != nil {
-		return nil, err
-	}
-	d := sketch.NewDecoder(payload)
-	var cfg Config
-	d.Section("conf", func(d *sketch.Decoder) {
-		cfg.K = d.Int()
-		cfg.Counters = d.Int()
-		cfg.CounterBits = d.Int()
-		cfg.CacheEntries = d.Int()
-		cfg.CacheCapacity = d.U64()
-		cfg.Policy = Policy(d.U8())
-		cfg.Seed = d.U64()
-	})
-	var epochs, rotations, nSealed int
-	d.Section("wind", func(d *sketch.Decoder) {
-		epochs = d.Int()
-		rotations = d.Int()
-		nSealed = d.Int()
-	})
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if cfg.Policy != LRU && cfg.Policy != Random {
-		return nil, fmt.Errorf("caesar: snapshot has unknown policy %d", cfg.Policy)
-	}
-	if epochs < 1 {
-		return nil, fmt.Errorf("caesar: snapshot window needs >= 1 epoch, got %d", epochs)
-	}
-	if nSealed < 0 || nSealed > epochs {
-		return nil, fmt.Errorf("caesar: snapshot carries %d sealed epochs for a %d-epoch window", nSealed, epochs)
-	}
-	if rotations < nSealed {
-		return nil, fmt.Errorf("caesar: snapshot rotations %d below sealed epoch count %d", rotations, nSealed)
-	}
-	sealed := make([]*Estimator, 0, nSealed)
-	for i := 0; i < nSealed; i++ {
-		var ce *core.Estimator
-		var epochErr error
-		d.Section("epok", func(d *sketch.Decoder) { ce, epochErr = core.DecodeEstimatorState(d) })
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		if epochErr != nil {
-			return nil, fmt.Errorf("caesar: sealed epoch %d: %w", i, epochErr)
-		}
-		sealed = append(sealed, &Estimator{e: ce})
-	}
-	// The current epoch restarts at the writer's rotation ordinal, so its
-	// hash seed — and every later epoch's — matches what the writer would
-	// have used had it kept running.
-	cur, err := newEpochSketch(cfg, rotations)
-	if err != nil {
-		return nil, err
-	}
-	lc, err := epoch.RestoreLifecycle(epochs, sealed, rotations, cur)
-	if err != nil {
-		return nil, err
-	}
-	return &Window{cfg: cfg, lc: lc}, nil
 }

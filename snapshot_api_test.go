@@ -98,56 +98,8 @@ func TestSnapshotMergeAfterLoad(t *testing.T) {
 	}
 }
 
-func TestShardedSnapshotRoundTrip(t *testing.T) {
-	s, err := NewSharded(3, shardedConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := s.Ingester()
-	for i := 0; i < 40000; i++ {
-		h.Observe(FlowID(i % 900))
-	}
-	if _, err := s.Snapshot(&bytes.Buffer{}); err == nil {
-		t.Fatal("Snapshot before Close accepted")
-	}
-	s.Close()
-	var buf bytes.Buffer
-	if _, err := s.Snapshot(&buf); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	r, err := ReadShardedSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadShardedSnapshot: %v", err)
-	}
-	if r.NumShards() != s.NumShards() {
-		t.Fatalf("NumShards: got %d, want %d", r.NumShards(), s.NumShards())
-	}
-	if got, want := r.Stats(), s.Stats(); got != want {
-		t.Errorf("Stats: got %+v, want %+v", got, want)
-	}
-	se, err := s.Estimator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, err := r.Estimator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for f := FlowID(0); f < 1000; f++ {
-		if a, b := se.Estimate(f, CSM), re.Estimate(f, CSM); math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("flow %d: %v != %v", f, a, b)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Ingester on a loaded sharded snapshot should panic")
-		}
-	}()
-	r.Ingester()
-}
-
 func TestWindowSnapshotRoundTrip(t *testing.T) {
-	w, err := NewWindow(3, Config{
+	w, err := NewShardedWindow(3, 1, Config{
 		Counters:      1024,
 		CacheEntries:  64,
 		CacheCapacity: 16,
@@ -156,9 +108,11 @@ func TestWindowSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
+	h := w.Ingester()
 	for e := 0; e < 4; e++ { // one more epoch than the window retains
 		for i := 0; i < 8000; i++ {
-			w.Observe(FlowID(i % 300))
+			h.observe([]FlowID{FlowID(i % 300)}, nil)
 		}
 		if err := w.Rotate(); err != nil {
 			t.Fatal(err)
@@ -168,10 +122,11 @@ func TestWindowSnapshotRoundTrip(t *testing.T) {
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
-	r, err := ReadWindow(bytes.NewReader(buf.Bytes()))
+	r, err := ReadShardedWindow(bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		t.Fatalf("ReadWindow: %v", err)
+		t.Fatalf("ReadShardedWindow: %v", err)
 	}
+	defer r.Close()
 	if r.EpochsSealed() != w.EpochsSealed() || r.Rotations() != w.Rotations() {
 		t.Fatalf("window shape: got (%d, %d), want (%d, %d)",
 			r.EpochsSealed(), r.Rotations(), w.EpochsSealed(), w.Rotations())
@@ -190,7 +145,7 @@ func TestWindowSnapshotRoundTrip(t *testing.T) {
 	}
 	// The loaded window keeps measuring: a fresh current epoch is live and
 	// rotation continues the epoch seed sequence where the writer left off.
-	r.Observe(1)
+	r.Ingester().Observe(1)
 	if err := r.Rotate(); err != nil {
 		t.Fatal(err)
 	}
@@ -212,12 +167,12 @@ func TestShardedBudgetSumsExact(t *testing.T) {
 		{4, 1 << 14, 1 << 10}, // exact division still exact
 		{5, 23, 7},            // remainder spread partway across the shards
 	} {
-		s, err := NewSharded(tc.n, Config{
+		s, err := newTestSharded(tc.n, Config{
 			Counters:      tc.counters,
 			CacheEntries:  tc.cacheEntries,
 			CacheCapacity: 8,
 			Seed:          3,
-		})
+		}, ShardedOptions{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", tc.n, err)
 		}
@@ -237,11 +192,11 @@ func TestShardedBudgetSumsExact(t *testing.T) {
 	}
 }
 
-// TestShardedCloseConcurrent closes the same Sharded from many goroutines
+// TestShardedCloseConcurrent closes the same shard set from many goroutines
 // at once while observers are still running — Close must be idempotent and
 // race-free, not merely safe to call twice sequentially.
 func TestShardedCloseConcurrent(t *testing.T) {
-	s, err := NewSharded(4, shardedConfig())
+	s, err := newTestSharded(4, shardedConfig(), ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +207,7 @@ func TestShardedCloseConcurrent(t *testing.T) {
 		go func(w int) {
 			defer obs.Done()
 			for i := 0; i < 50000; i++ {
-				h.Observe(FlowID(uint64(w)<<20 | uint64(i%1000)))
+				h.observe([]FlowID{FlowID(uint64(w)<<20 | uint64(i%1000))}, nil)
 			}
 		}(w)
 	}

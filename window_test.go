@@ -2,9 +2,15 @@ package caesar
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 )
+
+// The sliding-window tests below run on a one-shard ShardedWindow, the
+// single-threaded shape of the window (one worker owns every flow, so a
+// bulk query has nothing to group), except where they loop over shard
+// counts.
 
 func windowConfig() Config {
 	return Config{
@@ -16,31 +22,33 @@ func windowConfig() Config {
 }
 
 func TestWindowValidation(t *testing.T) {
-	if _, err := NewWindow(0, windowConfig()); err == nil {
+	if _, err := NewShardedWindow(0, 1, windowConfig()); err == nil {
 		t.Error("0 epochs accepted")
 	}
-	if _, err := NewWindow(3, Config{}); err == nil {
+	if _, err := NewShardedWindow(3, 1, Config{}); err == nil {
 		t.Error("bad sketch config accepted")
 	}
 }
 
 func TestWindowSumsSealedEpochs(t *testing.T) {
-	w, err := NewWindow(3, windowConfig())
+	w, err := NewShardedWindow(3, 1, windowConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
+	h := w.Ingester()
 	// Three epochs with 100 packets of flow 7 each; a fourth with 100 more
 	// that stays unsealed.
 	for epoch := 0; epoch < 3; epoch++ {
 		for i := 0; i < 100; i++ {
-			w.Observe(7)
+			h.Observe(7)
 		}
 		if err := w.Rotate(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 100; i++ {
-		w.Observe(7)
+		h.Observe(7)
 	}
 	if w.EpochsSealed() != 3 || w.Rotations() != 3 {
 		t.Fatalf("sealed=%d rotations=%d", w.EpochsSealed(), w.Rotations())
@@ -51,21 +59,23 @@ func TestWindowSumsSealedEpochs(t *testing.T) {
 }
 
 func TestWindowSlidesOldEpochsOut(t *testing.T) {
-	w, err := NewWindow(2, windowConfig())
+	w, err := NewShardedWindow(2, 1, windowConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
+	h := w.Ingester()
 	// Epoch 1: flow 1 only. Epochs 2, 3: flow 2 only. Window of 2 must
 	// forget flow 1 after the third rotation.
 	for i := 0; i < 200; i++ {
-		w.Observe(1)
+		h.Observe(1)
 	}
 	if err := w.Rotate(); err != nil {
 		t.Fatal(err)
 	}
 	for epoch := 0; epoch < 2; epoch++ {
 		for i := 0; i < 150; i++ {
-			w.Observe(2)
+			h.Observe(2)
 		}
 		if err := w.Rotate(); err != nil {
 			t.Fatal(err)
@@ -82,74 +92,95 @@ func TestWindowSlidesOldEpochsOut(t *testing.T) {
 	}
 }
 
+// TestWindowEmptyEstimatesZero pins the answer before the first seal: the
+// open epoch's traffic is invisible, so a flow estimates 0 with a
+// zero-width interval, at any shard count.
 func TestWindowEmptyEstimatesZero(t *testing.T) {
-	w, err := NewWindow(4, windowConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := w.Estimate(9, CSM); got != 0 {
-		t.Fatalf("no sealed epochs: estimate = %v", got)
-	}
-	est, iv := w.EstimateWithInterval(9, 0.95)
-	if est != 0 || iv.Width() != 0 {
-		t.Fatalf("no sealed epochs: interval = %v %+v", est, iv)
-	}
-}
-
-func TestWindowIntervalCoversTruth(t *testing.T) {
-	w, err := NewWindow(3, windowConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for epoch := 0; epoch < 3; epoch++ {
-		for i := 0; i < 500; i++ {
-			w.Observe(42)
-			w.Observe(FlowID(100 + i%50)) // background flows
+	for _, nshards := range []int{1, 3} {
+		w, err := NewShardedWindow(4, nshards, windowConfig())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := w.Rotate(); err != nil {
+		w.Ingester().ObserveBatch([]FlowID{9, 9, 9})
+		if got := w.Estimate(9, CSM); got != 0 {
+			t.Fatalf("%d shards, no sealed epochs: estimate = %v", nshards, got)
+		}
+		est, iv := w.EstimateWithInterval(9, 0.95)
+		if est != 0 || iv.Width() != 0 {
+			t.Fatalf("%d shards, no sealed epochs: interval = %v %+v", nshards, est, iv)
+		}
+		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	est, iv := w.EstimateWithInterval(42, 0.95)
-	if !iv.Contains(est) {
-		t.Fatal("interval excludes its own estimate")
-	}
-	if !iv.Contains(1500) {
-		t.Fatalf("interval %+v excludes the window truth 1500 (est %v)", iv, est)
-	}
-	// The window's one quantile lookup must give exactly what the
-	// per-epoch interval queries give.
-	var epochs []func(FlowID, float64) (float64, Interval)
-	for i := 0; i < w.EpochsSealed(); i++ {
-		epochs = append(epochs, w.lc.At(i).EstimateWithInterval)
-	}
-	for _, f := range []FlowID{42, 100, 149, 7} {
-		wantEst, wantIv := intervalBySteps(epochs, f, 0.9)
-		if est, iv := w.EstimateWithInterval(f, 0.9); est != wantEst || iv != wantIv {
-			t.Fatalf("flow %d: EstimateWithInterval %v %+v, per-epoch intervals give %v %+v", f, est, iv, wantEst, wantIv)
+}
+
+// TestWindowIntervalCoversTruth checks the windowed interval around a flow
+// with background traffic: it holds its own estimate and the window truth,
+// and its one quantile lookup equals the per-epoch interval queries, at 1,
+// 2 and 4 shards.
+func TestWindowIntervalCoversTruth(t *testing.T) {
+	for _, nshards := range []int{1, 2, 4} {
+		name := fmt.Sprintf("%d shards", nshards)
+		w, err := NewShardedWindow(3, nshards, windowConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := w.Ingester()
+		for epoch := 0; epoch < 3; epoch++ {
+			for i := 0; i < 500; i++ {
+				h.Observe(42)
+				h.Observe(FlowID(100 + i%50)) // background flows
+			}
+			if err := w.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		est, iv := w.EstimateWithInterval(42, 0.95)
+		if !iv.Contains(est) {
+			t.Fatalf("%s: interval excludes its own estimate", name)
+		}
+		if !iv.Contains(1500) {
+			t.Fatalf("%s: interval %+v excludes the window truth 1500 (est %v)", name, iv, est)
+		}
+		var epochs []func(FlowID, float64) (float64, Interval)
+		for _, v := range w.Epochs() {
+			epochs = append(epochs, v.EstimateWithInterval)
+		}
+		for _, f := range []FlowID{42, 100, 149, 7} {
+			wantEst, wantIv := intervalBySteps(epochs, f, 0.9)
+			if est, iv := w.EstimateWithInterval(f, 0.9); est != wantEst || iv != wantIv {
+				t.Fatalf("%s: flow %d: EstimateWithInterval %v %+v, per-epoch intervals give %v %+v",
+					name, f, est, iv, wantEst, wantIv)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
+// TestWindowEpochSeedsDiffer feeds one flow through two epochs, each hashed
+// under its own rotation-derived seed; both estimators must sum to the
+// window truth.
 func TestWindowEpochSeedsDiffer(t *testing.T) {
-	// Different epochs must map flows to different counters: feed one flow
-	// in two epochs and verify the sealed estimators disagree on a
-	// never-seen flow's *raw counters* only if seeds matched. Cheap proxy:
-	// rotating twice with the same traffic yields near-identical estimates,
-	// which is only guaranteed when each epoch independently works — and
-	// the per-epoch noise profile differs (not asserted bit-exactly here,
-	// but the rotation bookkeeping is).
-	w, err := NewWindow(2, windowConfig())
+	w, err := NewShardedWindow(2, 1, windowConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
+	h := w.Ingester()
 	for epoch := 0; epoch < 2; epoch++ {
 		for i := 0; i < 400; i++ {
-			w.Observe(5)
+			h.Observe(5)
 		}
 		if err := w.Rotate(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	views := w.Epochs()
+	if s0, s1 := views[0].we.sh.shards[0].s.Config().Seed, views[1].we.sh.shards[0].s.Config().Seed; s0 == s1 {
+		t.Fatalf("epochs 0 and 1 share hash seed %#x", s0)
 	}
 	if got := w.Estimate(5, CSM); math.Abs(got-800) > 4 {
 		t.Fatalf("two-epoch estimate = %v, want ~800", got)
@@ -167,20 +198,22 @@ func TestWindowEpochSeedsDiffer(t *testing.T) {
 // a restart from the wrong ordinal would reuse a retired epoch's seed and
 // diverge on the very first estimate.
 func TestWindowSnapshotResumesRotationSeeds(t *testing.T) {
-	w, err := NewWindow(2, windowConfig())
+	w, err := NewShardedWindow(2, 1, windowConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed := func(win *Window) {
+	defer w.Close()
+	feed := func(h *WindowIngester) {
 		for i := 0; i < 3000; i++ {
-			win.Observe(FlowID(i % 150))
+			h.Observe(FlowID(i % 150))
 		}
 	}
+	wh := w.Ingester()
 	// Rotate past the window size: 4 rotations against a 2-epoch ring, so
 	// the snapshot carries epochs 2..3 and the writer's next seed ordinal
 	// is 4, while len(sealed) is only 2.
 	for e := 0; e < 4; e++ {
-		feed(w)
+		feed(wh)
 		if err := w.Rotate(); err != nil {
 			t.Fatal(err)
 		}
@@ -189,13 +222,15 @@ func TestWindowSnapshotResumesRotationSeeds(t *testing.T) {
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	r, err := ReadWindow(bytes.NewReader(buf.Bytes()))
+	r, err := ReadShardedWindow(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer r.Close()
+	rh := r.Ingester()
 	for round := 0; round < 2; round++ {
-		feed(w)
-		feed(r)
+		feed(wh)
+		feed(rh)
 		if err := w.Rotate(); err != nil {
 			t.Fatal(err)
 		}
