@@ -227,7 +227,7 @@ func BenchmarkShardedObserveParallelMutex(b *testing.B) {
 		}
 	})
 	b.StopTimer()
-	s.Close()
+	closeAndSeal(b, s)
 }
 
 // BenchmarkShardedObserveParallel measures contention-free parallel ingest:
@@ -258,7 +258,7 @@ func BenchmarkShardedObserveParallel(b *testing.B) {
 		h.observe(ring[:n], nil)
 	})
 	b.StopTimer()
-	s.Close()
+	closeAndSeal(b, s)
 }
 
 // BenchmarkSketchObserveChurn measures the construction cost under heavy

@@ -90,10 +90,10 @@ func TestEstimateManyZeroAllocs(t *testing.T) {
 	}
 }
 
-// sealedEpoch ingests every flow sizes[i] times into a one-epoch window of
+// sealedView ingests every flow sizes[i] times into a one-epoch window of
 // the given shard count, seals it with Close, and returns the sealed
 // epoch's view.
-func sealedEpoch(t *testing.T, shards int, flows []FlowID, sizes []int) EpochView {
+func sealedView(t *testing.T, shards int, flows []FlowID, sizes []int) EpochView {
 	t.Helper()
 	w, err := NewShardedWindow(1, shards, shardedConfig())
 	if err != nil {
@@ -121,7 +121,7 @@ func sealedEpoch(t *testing.T, shards int, flows []FlowID, sizes []int) EpochVie
 func TestShardedEstimateManyBitIdentical(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		flows, sizes := bulkAPIFlows(1024)
-		view := sealedEpoch(t, shards, flows, sizes)
+		view := sealedView(t, shards, flows, sizes)
 		for _, m := range []Method{CSM, MLM} {
 			got := view.EstimateMany(flows, m, nil)
 			for i, f := range flows {
@@ -160,7 +160,7 @@ func TestShardedEstimateManyZeroAllocsSteadyState(t *testing.T) {
 		for i := range sizes {
 			sizes[i] = 1
 		}
-		view := sealedEpoch(t, shards, flows, sizes)
+		view := sealedView(t, shards, flows, sizes)
 		dst := make([]float64, len(flows))
 		for _, m := range []Method{CSM, MLM} {
 			view.EstimateMany(flows, m, dst) // warm the grouping scratch
@@ -174,17 +174,30 @@ func TestShardedEstimateManyZeroAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// TestEpochViewQueryReleasesEpoch pins that an epoch view's bulk query
-// leaves no reference to its epoch in the window's query scratch: a view
-// can outlive its epoch's place in the ring, and the scratch must not keep
-// a retired epoch reachable.
+// TestEpochViewQueryReleasesEpoch pins that no query leaves a reference to
+// an epoch in the window's query scratch: an epoch view's bulk query, and
+// the window's Estimate, EstimateWithInterval, EstimateMany and QueryAll.
+// A view can outlive its epoch's place in the ring, and the scratch must
+// not keep an epoch reachable after a later rotation retires it.
 func TestEpochViewQueryReleasesEpoch(t *testing.T) {
 	flows, sizes := bulkAPIFlows(64)
-	view := sealedEpoch(t, 2, flows, sizes)
-	view.EstimateMany(flows, CSM, nil)
-	for i, we := range view.w.epochScratch[:cap(view.w.epochScratch)] {
-		if we != nil {
-			t.Fatalf("query scratch slot %d still holds epoch %d", i, we.rotation)
+	view := sealedView(t, 2, flows, sizes)
+	w := view.w
+	for _, q := range []struct {
+		name  string
+		query func()
+	}{
+		{"EpochView.EstimateMany", func() { view.EstimateMany(flows, CSM, nil) }},
+		{"Estimate", func() { w.Estimate(flows[0], CSM) }},
+		{"EstimateWithInterval", func() { w.EstimateWithInterval(flows[0], 0.95) }},
+		{"EstimateMany", func() { w.EstimateMany(flows, CSM, nil) }},
+		{"QueryAll", func() { w.QueryAll(flows, MLM, 2, nil) }},
+	} {
+		q.query()
+		for i, ep := range w.epochScratch[:cap(w.epochScratch)] {
+			if ep != nil {
+				t.Fatalf("%s: query scratch slot %d still holds epoch %d", q.name, i, ep.rotation)
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,13 +39,14 @@ func chaosConfig() Config {
 	}
 }
 
-// assertAccounting pins the exactly-once-or-counted invariant after Close.
-func assertAccounting(t *testing.T, s *sharded, observed uint64) Stats {
+// assertAccounting pins the exactly-once-or-counted invariant of a sealed
+// epoch.
+func assertAccounting(t *testing.T, ep *sealedEpoch, observed uint64) Stats {
 	t.Helper()
-	st := s.Stats()
-	if got := s.NumPackets() + st.DroppedPackets; got != observed {
+	st := ep.Stats()
+	if got := ep.NumPackets() + st.DroppedPackets; got != observed {
 		t.Fatalf("accounting broken: NumPackets %d + dropped %d = %d, want observed %d (ledger %+v)",
-			s.NumPackets(), st.DroppedPackets, got, observed, st)
+			ep.NumPackets(), st.DroppedPackets, got, observed, st)
 	}
 	if sum := st.DroppedOverflow + st.DroppedSampled + st.DroppedQuarantine +
 		st.DroppedTimeout + st.DroppedAfterClose + st.DroppedInjected; sum != st.DroppedPackets {
@@ -109,8 +111,8 @@ func TestChaosDropPolicyOverflow(t *testing.T) {
 	}
 	const observed = 20000
 	drive(s, observed, 97)
-	s.Close()
-	st := assertAccounting(t, s, observed)
+	ep := closeAndSeal(t, s)
+	st := assertAccounting(t, ep, observed)
 	if st.DroppedOverflow == 0 {
 		t.Fatal("Drop policy under a slow consumer produced no overflow drops; the fault was not exercised")
 	}
@@ -138,12 +140,12 @@ func TestChaosSamplePolicyOverflow(t *testing.T) {
 	}
 	const observed = 20000
 	drive(s, observed, 97)
-	s.Close()
-	st := assertAccounting(t, s, observed)
+	ep := closeAndSeal(t, s)
+	st := assertAccounting(t, ep, observed)
 	if st.DroppedSampled == 0 {
 		t.Fatal("Sample policy under a slow consumer thinned nothing; the fault was not exercised")
 	}
-	if s.NumPackets() == 0 {
+	if ep.NumPackets() == 0 {
 		t.Fatal("Sample policy delivered nothing; it must keep 1-in-8")
 	}
 }
@@ -163,8 +165,8 @@ func TestChaosInjectedBatchDrop(t *testing.T) {
 	}
 	const observed = 20000
 	drive(s, observed, 97)
-	s.Close()
-	st := assertAccounting(t, s, observed)
+	ep := closeAndSeal(t, s)
+	st := assertAccounting(t, ep, observed)
 	if st.DroppedInjected == 0 {
 		t.Fatal("no injected drops recorded")
 	}
@@ -188,8 +190,8 @@ func TestChaosQueueStall(t *testing.T) {
 	}
 	const observed = 5000
 	drive(s, observed, 97)
-	s.Close()
-	st := assertAccounting(t, s, observed)
+	ep := closeAndSeal(t, s)
+	st := assertAccounting(t, ep, observed)
 	if st.DroppedPackets != 0 {
 		t.Fatalf("Block policy with stalls dropped %d packets, want 0 (ledger %+v)", st.DroppedPackets, st)
 	}
@@ -217,8 +219,8 @@ func TestChaosWorkerPanicQuarantine(t *testing.T) {
 	const observed = 40000
 	const nFlows = 97
 	drive(s, observed, nFlows)
-	s.Close()
-	st := assertAccounting(t, s, observed)
+	ep := closeAndSeal(t, s)
+	st := assertAccounting(t, ep, observed)
 	if inj.Panics() != 1 {
 		t.Fatalf("injector threw %d panics, want 1", inj.Panics())
 	}
@@ -237,24 +239,20 @@ func TestChaosWorkerPanicQuarantine(t *testing.T) {
 
 	// Survivors must still estimate. Every flow of a healthy shard saw
 	// observed/nFlows packets; require the usual accuracy on those.
-	est, err := s.Estimator()
-	if err != nil {
-		t.Fatalf("Estimator on a degraded sketch: %v", err)
-	}
 	if st.EffectiveLossRate <= 0 {
 		t.Fatal("degraded sketch reports zero effective loss")
 	}
 	want := float64(observed / nFlows)
 	healthy, within := 0, 0
 	for f := FlowID(0); f < nFlows; f++ {
-		if s.ShardFor(f) == target {
+		if s.router.Route(f) == target {
 			continue
 		}
-		if !est.Covered(f) {
+		if !ep.Covered(f) {
 			t.Fatalf("flow %d on a healthy shard is not covered", f)
 		}
 		healthy++
-		if got := est.Estimate(f, CSM); math.Abs(got-want) < 0.15*want {
+		if got := ep.Estimate(f, CSM); math.Abs(got-want) < 0.15*want {
 			within++
 		}
 	}
@@ -267,8 +265,8 @@ func TestChaosWorkerPanicQuarantine(t *testing.T) {
 }
 
 // TestChaosAllShardsQuarantined panics every worker: the sketch must reach
-// the terminal Quarantined state and still Close, account, and answer
-// (degenerate) queries without hanging or crashing.
+// the terminal Quarantined state and still close, seal, account, and
+// answer (degenerate) queries without hanging or crashing.
 func TestChaosAllShardsQuarantined(t *testing.T) {
 	inj := faultinject.New(6)
 	hooks := make([]func(shard, packets int), 2)
@@ -286,13 +284,17 @@ func TestChaosAllShardsQuarantined(t *testing.T) {
 	}
 	const observed = 10000
 	drive(s, observed, 97)
-	s.Close()
-	st := assertAccounting(t, s, observed)
+	ep := closeAndSeal(t, s)
+	st := assertAccounting(t, ep, observed)
 	if st.Health != Quarantined {
 		t.Fatalf("Health = %v, want Quarantined", st.Health)
 	}
-	if _, err := s.Estimator(); err != nil {
-		t.Fatalf("Estimator on a fully quarantined sketch: %v", err)
+	// The injected panics fire before a batch touches its sketch, so every
+	// shard keeps a consistent state and a query view.
+	for f := FlowID(0); f < 97; f++ {
+		if got := ep.Estimate(f, CSM); !ep.Covered(f) || math.IsNaN(got) {
+			t.Fatalf("flow %d on a fully quarantined epoch: covered %v, estimate %v", f, ep.Covered(f), got)
+		}
 	}
 }
 
@@ -339,33 +341,23 @@ func TestChaosCloseContextDeadline(t *testing.T) {
 	if reason, ok := q.reason(0); !ok || reason == "" {
 		t.Fatalf("wedged shard not quarantined by the timed-out close (reason %q, ok %v)", reason, ok)
 	}
-	// Until its worker exits the wedged shard has no query view: its flows
-	// answer (0, zero interval), yet an alpha outside (0,1) still panics,
-	// as it does for a covered flow.
-	est, err := s.Estimator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Covered(0) {
+	// The seal cannot flush the still-wedged shard, so it gets no query
+	// view: its flows answer (0, zero interval).
+	ep := s.seal(0)
+	if ep.Covered(0) {
 		t.Fatal("flow on the still-wedged shard reports covered")
 	}
-	if v, iv := est.EstimateWithInterval(0, 0.95); v != 0 || iv != (Interval{}) {
-		t.Fatalf("uncovered flow: EstimateWithInterval = %v, %+v; want 0 and a zero interval", v, iv)
+	if v, iv := ep.intervalAt(0, 1.96); v != 0 || iv != (Interval{}) {
+		t.Fatalf("uncovered flow: intervalAt = %v, %+v; want 0 and a zero interval", v, iv)
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("EstimateWithInterval with alpha 1.5 on an uncovered flow did not panic")
-			}
-		}()
-		est.EstimateWithInterval(0, 1.5)
-	}()
 
 	once.Do(func() { close(release) }) // un-wedge the worker applying its batch
 	<-done                             // abort latch must have released the blocked producer
 	<-s.workerExited[0]                // worker exits: applied batch counted, queue drained as drops
 
-	st := assertAccounting(t, s, observed)
+	// The worker wrote its late packets and drops into the sketch and ledger
+	// the sealed epoch holds, so the sealed epoch accounts for them.
+	st := assertAccounting(t, ep, observed)
 	if st.DroppedTimeout == 0 {
 		t.Fatal("deadline shutdown recorded no timeout drops")
 	}
@@ -434,6 +426,7 @@ func TestChaosCloseContextLiveWorkers(t *testing.T) {
 	if err := s.closeWith(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("closeWith = %v, want a Canceled-wrapped error", err)
 	}
+	ep := s.seal(0)
 	for _, exited := range s.workerExited {
 		<-exited
 	}
@@ -450,9 +443,12 @@ func TestChaosCloseContextLiveWorkers(t *testing.T) {
 			t.Fatalf("shard %d neither flushed nor quarantined: counters hold %d of %d packets", i, sum, sk.NumPackets())
 		}
 	}
-	assertAccounting(t, s, 2*perHandle)
-	if _, err := s.Estimator(); err != nil {
-		t.Fatalf("Estimator after a cut-short close: %v", err)
+	assertAccounting(t, ep, 2*perHandle)
+	// Every shard the close flushed has a query view.
+	for i := range s.shards {
+		if _, ok := q.reason(i); !ok && ep.ests[i] == nil {
+			t.Fatalf("flushed shard %d has no query view after a cut-short close", i)
+		}
 	}
 }
 
@@ -784,7 +780,7 @@ func TestChaosRotateContextDeadline(t *testing.T) {
 	const first = 64
 	done := wedgeProducer(t, h.Observe, first)
 
-	old := w.lc.Current()
+	old := w.cur
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	rotated := make(chan error, 1)
@@ -797,7 +793,7 @@ func TestChaosRotateContextDeadline(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("RotateContext ignored its 50ms deadline while swapping handles")
 	}
-	if reason, ok := q.reason(0); !ok || reason != deadlineReason || old.shardDown[0].Load() == 0 {
+	if reason, ok := q.reason(0); !ok || reason != deadlineReason || old.ledger.shardDown[0].Load() == 0 {
 		t.Fatalf("sealed epoch's wedged shard: quarantine reason %q, %v; want the shutdown deadline", reason, ok)
 	}
 	if w.Health() != Healthy {
@@ -821,11 +817,108 @@ func TestChaosRotateContextDeadline(t *testing.T) {
 	if st := views[0].Stats(); st.DroppedTimeout == 0 {
 		t.Fatal("the cut-short seal recorded no timeout drops")
 	}
+	// The seal could not flush the wedged shard, so the sealed epoch has no
+	// query view for it even after its worker exited: its flows answer
+	// (0, zero interval), yet an alpha outside (0,1) still panics, as it
+	// does for a covered flow.
+	if views[0].Covered(0) {
+		t.Fatal("flow on the abandoned shard reports covered")
+	}
+	if v, iv := views[0].EstimateWithInterval(0, 0.95); v != 0 || iv != (Interval{}) {
+		t.Fatalf("uncovered flow: EstimateWithInterval = %v, %+v; want 0 and a zero interval", v, iv)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("EstimateWithInterval with alpha 1.5 on an uncovered flow did not panic")
+			}
+		}()
+		views[0].EstimateWithInterval(0, 1.5)
+	}()
 	if st := views[1].Stats(); st.Health != Healthy || st.DroppedPackets != 0 || st.Packets < second {
 		t.Fatalf("next epoch: Health %v, %d dropped, %d applied; want Healthy, 0, >= %d",
 			st.Health, st.DroppedPackets, st.Packets, second)
 	}
 	assertWindowAccounting(t, w, first+second)
+}
+
+// TestChaosCheckpointAfterCutShortSeal takes a checkpoint after a
+// deadline-cut seal abandoned a wedged worker. The sealed epoch has no
+// query view for that shard, and the shard was never flushed, so even once
+// the worker has exited the checkpoint must fail, writing nothing, with an
+// error naming the epoch and the shard — not panic. Once the epoch
+// retires, checkpoints resume and restore bit-identically.
+func TestChaosCheckpointAfterCutShortSeal(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	defer once.Do(func() { close(release) })
+	var wedged atomic.Bool
+	w, err := NewShardedWindowOptions(2, 1, chaosConfig(), ShardedOptions{
+		batchSize:  4,
+		queueDepth: 1,
+		Hooks: ShardedHooks{OnWorkerBatch: func(shard, packets int) {
+			if wedged.CompareAndSwap(false, true) {
+				<-release // wedge the first epoch's worker on its first batch
+			}
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	h := w.Ingester()
+	done := wedgeProducer(t, h.Observe, 64)
+	old := w.cur
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := w.RotateContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RotateContext = %v, want a DeadlineExceeded-wrapped error", err)
+	}
+	once.Do(func() { close(release) })
+	<-done
+	<-old.workerExited[0] // the abandoned shard's state is final, and still unflushed
+
+	var buf bytes.Buffer
+	n, err := w.WriteTo(&buf)
+	if err == nil || !strings.Contains(err.Error(), "sealed epoch 0") || !strings.Contains(err.Error(), "shard 0") {
+		t.Fatalf("WriteTo with an abandoned shard in the ring = %v, want an error naming sealed epoch 0 and shard 0", err)
+	}
+	if n != 0 || buf.Len() != 0 {
+		t.Fatalf("refused checkpoint wrote %d bytes (reported %d)", buf.Len(), n)
+	}
+
+	// Two more seals retire the cut-short epoch from the 2-epoch ring.
+	for r := 0; r < 2; r++ {
+		driveWindow(w, 300, 97)
+		if err := w.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf.Reset()
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatalf("WriteTo after the cut-short epoch retired: %v", err)
+	}
+	r, err := ReadShardedWindow(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Rotations() != w.Rotations() || r.NumPackets() != w.NumPackets() || r.DroppedPackets() != w.DroppedPackets() {
+		t.Fatalf("restored rotations %d, packets %d, dropped %d; live %d, %d, %d",
+			r.Rotations(), r.NumPackets(), r.DroppedPackets(), w.Rotations(), w.NumPackets(), w.DroppedPackets())
+	}
+	flows := make([]FlowID, 97)
+	for i := range flows {
+		flows[i] = FlowID(i)
+	}
+	for _, m := range []Method{CSM, MLM} {
+		live, restored := w.EstimateMany(flows, m, nil), r.EstimateMany(flows, m, nil)
+		for i, f := range flows {
+			if math.Float64bits(live[i]) != math.Float64bits(restored[i]) {
+				t.Fatalf("method %v flow %d: live %v, restored %v", m, f, live[i], restored[i])
+			}
+		}
+	}
 }
 
 // TestChaosLossAdjustedEstimate drops ~half the traffic and checks that the

@@ -757,6 +757,137 @@ func TestChaosServeRotateDeadline(t *testing.T) {
 	}
 }
 
+// TestChaosServeCheckpointAfterCutShortSeal lets a bounded rotation
+// abandon a wedged worker on a checkpointing server. That sealed epoch
+// cannot be checkpointed, so every later rotation's checkpoint must fail
+// as an error, not a panic that takes the process down: POST /rotate
+// answers 500 naming the epoch, and a rotation from the -rotate-every loop
+// logs the error to /events. Reads keep answering throughout, and once the
+// epoch retires the checkpoint is written again and restores.
+func TestChaosServeCheckpointAfterCutShortSeal(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "state.csnp")
+	release := make(chan struct{})
+	var once sync.Once
+	unwedge := func() { once.Do(func() { close(release) }) }
+	var wedged atomic.Bool
+	w := chaosWindow(t, caesar.ShardedOptions{Hooks: caesar.ShardedHooks{
+		OnWorkerBatch: func(shard, packets int) {
+			if wedged.CompareAndSwap(false, true) {
+				<-release // wedge the first worker to take a batch
+			}
+		},
+	}})
+	srv := newServer(w, serveOptions{snapPath: snap, drainTimeout: 100 * time.Millisecond})
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	defer unwedge() // runs first: ts.Close waits for in-flight handlers
+
+	rotate := func() (int, string) {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/rotate", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+
+	observe(t, ts, 7, 1000)
+	for deadline := time.Now().Add(5 * time.Second); !wedged.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no worker ever took a batch")
+		}
+	}
+	// The bounded seal abandons the wedged worker: rotation 0 seals without
+	// that shard's query view, and its cut-short seal writes no checkpoint.
+	if code, body := rotate(); code != http.StatusInternalServerError {
+		t.Fatalf("POST /rotate behind a wedged worker: status %d (%s), want 500", code, body)
+	}
+	unwedge()
+	// The released worker applies its batch and counts the rest of its ring
+	// as drops; once those show, it has exited.
+	for deadline := time.Now().Add(5 * time.Second); w.DroppedPackets() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the released worker never drained its ring")
+		}
+	}
+
+	// The next seal goes through, but its checkpoint is refused.
+	observe(t, ts, 9, 500)
+	if code, body := rotate(); code != http.StatusInternalServerError || !strings.Contains(body, "sealed epoch 0") {
+		t.Fatalf("POST /rotate with the cut-short epoch in the ring: status %d (%s), want 500 naming sealed epoch 0", code, body)
+	}
+	if _, err := os.Stat(snap); !os.IsNotExist(err) {
+		t.Fatalf("a checkpoint was written with the cut-short epoch in the ring (stat: %v)", err)
+	}
+
+	// The -rotate-every loop: the first tick's checkpoint is refused the
+	// same way and lands in /events; the second tick retires rotation 0
+	// from the 3-epoch ring and checkpoints.
+	ticks := make(chan time.Time)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.rotateOnTicks(ctx, ticks)
+	}()
+	tick := func() {
+		t.Helper()
+		select {
+		case ticks <- time.Now():
+		case <-time.After(5 * time.Second):
+			t.Fatal("the timed rotation loop stopped taking ticks")
+		}
+	}
+	observe(t, ts, 11, 300)
+	tick()
+	// Reads keep answering while checkpoints fail.
+	observe(t, ts, 13, 300)
+	tick() // taken only once the first tick's rotation has returned
+	if est := getJSON[[]estimateResponse](t, ts, "/estimate?flow=9&flow=11"); len(est) != 2 || est[0].Estimate <= 0 || est[1].Estimate <= 0 {
+		t.Fatalf("/estimate while checkpoints fail = %+v, want both flows estimated", est)
+	}
+	if top := getJSON[[]topKResponse](t, ts, "/topk?k=2"); len(top) != 2 {
+		t.Fatalf("/topk while checkpoints fail = %+v, want 2 flows", top)
+	}
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the timed rotation loop ignored its context")
+	}
+	ev := getJSON[eventsResponse](t, ts, "/events")
+	if got := eventKinds(ev.Events)[supervise.KindRotateErr]; got != 1 {
+		t.Fatalf("events = %+v, want one rotate-err for the refused checkpoint", ev.Events)
+	}
+
+	f, err := os.Open(snap)
+	if err != nil {
+		t.Fatalf("no checkpoint once the cut-short epoch retired: %v", err)
+	}
+	defer f.Close()
+	restored, err := caesar.ReadShardedWindow(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	if restored.Rotations() != 4 || restored.Rotations() != w.Rotations() ||
+		restored.NumPackets() != w.NumPackets() || restored.DroppedPackets() != w.DroppedPackets() {
+		t.Fatalf("restored rotations %d, packets %d, dropped %d; live %d, %d, %d",
+			restored.Rotations(), restored.NumPackets(), restored.DroppedPackets(), w.Rotations(), w.NumPackets(), w.DroppedPackets())
+	}
+	for _, flow := range []caesar.FlowID{7, 9, 11, 13} {
+		if a, b := w.Estimate(flow, caesar.MLM), restored.Estimate(flow, caesar.MLM); a != b {
+			t.Fatalf("flow %d: live estimate %v, restored %v", flow, a, b)
+		}
+	}
+}
+
 // TestChaosServeReconciliationSIGKILL is the bounded-loss restart drill at
 // process granularity: ingest a known count, checkpoint, ingest more,
 // snapshot the meta, SIGKILL, restart — the reconciliation report must

@@ -41,7 +41,7 @@ func TestShardedFlowHashOptionValidation(t *testing.T) {
 		if got := s.opts.FlowHash; got != fh {
 			t.Errorf("opts.FlowHash = %v, want %v", got, fh)
 		}
-		s.Close()
+		closeAndSeal(t, s)
 	}
 }
 
@@ -128,12 +128,12 @@ func TestObservePacketsAfterClose(t *testing.T) {
 	h := s.Ingester()
 	tuples := flowHashTuples(100)
 	h.observe(nil, tuples)
-	s.Close()
+	ep := closeAndSeal(t, s)
 	h.observe(nil, tuples)
-	if got := s.NumPackets(); got != uint64(len(tuples)) {
+	if got := ep.NumPackets(); got != uint64(len(tuples)) {
 		t.Fatalf("NumPackets = %d, want %d", got, len(tuples))
 	}
-	if got := s.Stats().DroppedAfterClose; got != uint64(len(tuples)) {
+	if got := ep.Stats().DroppedAfterClose; got != uint64(len(tuples)) {
 		t.Fatalf("DroppedAfterClose = %d, want %d", got, len(tuples))
 	}
 }
@@ -215,7 +215,7 @@ func TestFlowIDZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeAndSeal(t, s)
 	h := s.Ingester()
 	tuples := flowHashTuples(256)
 	h.observe(nil, tuples) // reach steady-state scratch capacity

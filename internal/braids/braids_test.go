@@ -1,7 +1,10 @@
 package braids
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -243,51 +246,135 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
+// decodeInstance builds the property tests' instance in the generous
+// regime (3 counters per flow, deep layers), one flow per entry of
+// sizesRaw, and decodes it.
+func decodeInstance(seed uint64, sizesRaw []uint8) (*Sketch, []hashing.FlowID, []int, DecodeResult) {
+	flows := len(sizesRaw)
+	s, err := New(Config{
+		Layer1Counters: 3*flows + 9,
+		// 10-bit first layer: with sizes <= 200 almost nothing overflows,
+		// so stage-1 decode is near-trivial and the property isolates the
+		// flow-layer decoder.
+		Layer1Bits:     10,
+		Layer2Counters: 3*flows + 16,
+		Seed:           seed,
+	})
+	if err != nil {
+		panic(err)
+	}
+	ids := make([]hashing.FlowID, flows)
+	truth := make([]int, flows)
+	for i := range ids {
+		ids[i] = hashing.FlowID(hashing.Mix64(seed + uint64(i)))
+		truth[i] = int(sizesRaw[i]%200) + 1
+		for j := 0; j < truth[i]; j++ {
+			s.Observe(ids[i])
+		}
+	}
+	return s, ids, truth, s.Decode(ids, 60)
+}
+
+// stoppingSet marks the flows of the instance's layer-1 stopping set: what
+// remains after repeatedly removing any flow that is the only remaining
+// flow on one of its layer-1 counters. Every other flow can be peeled, so
+// an exact decoder recovers it; flows inside the set can be mutually
+// ambiguous (two flows on the same k counters cannot be told apart).
+func stoppingSet(s *Sketch, ids []hashing.FlowID) []bool {
+	counters := make([][]uint32, len(ids))
+	load := make([]int, s.cfg.Layer1Counters)
+	for i, id := range ids {
+		counters[i] = s.sel1.Select(id, nil)
+		for _, c := range counters[i] {
+			load[c]++
+		}
+	}
+	stuck := make([]bool, len(ids))
+	for i := range stuck {
+		stuck[i] = true
+	}
+	for peeled := true; peeled; {
+		peeled = false
+		for i, cs := range counters {
+			if !stuck[i] || !slices.ContainsFunc(cs, func(c uint32) bool { return load[c] == 1 }) {
+				continue
+			}
+			stuck[i] = false
+			for _, c := range cs {
+				load[c]--
+			}
+			peeled = true
+		}
+	}
+	return stuck
+}
+
+// decodeFault reports how a decode breaks the guarantees that hold at any
+// seed, or "" when it keeps them: every flow outside the stopping set
+// decodes exactly, a Converged result is exact for every flow, and no flow
+// is wildly wrong (that would be a decoder bug, not ambiguity).
+func decodeFault(s *Sketch, ids []hashing.FlowID, truth []int, res DecodeResult) string {
+	stuck := stoppingSet(s, ids)
+	for i := range ids {
+		got, want := res.Estimates[i], float64(truth[i])
+		switch {
+		case got == want:
+		case !stuck[i]:
+			return fmt.Sprintf("flow %d is outside the stopping set but decodes to %v, truth %v", i, got, want)
+		case res.Converged:
+			return fmt.Sprintf("decode converged but flow %d decodes to %v, truth %v", i, got, want)
+		case math.Abs(got-want) > want+1200:
+			return fmt.Sprintf("flow %d decodes to %v, truth %v", i, got, want)
+		}
+	}
+	return ""
+}
+
 func TestDecodePropertyQuick(t *testing.T) {
-	// Property: in the generous regime (3 counters per flow, deep layers),
-	// random small instances decode every flow exactly.
+	// Property: random small instances in the generous regime decode
+	// exactly wherever exactness is guaranteed (decodeFault). The seeded
+	// Rand makes a failure reproducible; the property must hold at any
+	// seed.
 	f := func(seed uint64, sizesRaw []uint8) bool {
 		if len(sizesRaw) == 0 || len(sizesRaw) > 60 {
 			return true
 		}
-		flows := len(sizesRaw)
-		cfg := Config{
-			Layer1Counters: 3*flows + 9,
-			// 10-bit first layer: with sizes <= 200 almost nothing
-			// overflows, so stage-1 decode is near-trivial and the property
-			// isolates the flow-layer decoder.
-			Layer1Bits:     10,
-			Layer2Counters: 3*flows + 16,
-			Seed:           seed,
-		}
-		s, err := New(cfg)
-		if err != nil {
+		if fault := decodeFault(decodeInstance(seed, sizesRaw)); fault != "" {
+			t.Logf("seed %#x, sizes %#v: %s", seed, sizesRaw, fault)
 			return false
 		}
-		ids := make([]hashing.FlowID, flows)
-		truth := make([]int, flows)
-		for i := range ids {
-			ids[i] = hashing.FlowID(hashing.Mix64(seed + uint64(i)))
-			truth[i] = int(sizesRaw[i]%200) + 1
-			for j := 0; j < truth[i]; j++ {
-				s.Observe(ids[i])
-			}
-		}
-		res := s.Decode(ids, 60)
-		// Exact reconstruction holds with high probability, not always: a
-		// random instance can contain a small cycle of mutually ambiguous
-		// flows. Require near-total exactness and bounded residual error.
-		exact := 0
-		for i := range ids {
-			if res.Estimates[i] == float64(truth[i]) {
-				exact++
-			} else if math.Abs(res.Estimates[i]-float64(truth[i])) > float64(truth[i])+1200 {
-				return false // wildly wrong is a decoder bug, not ambiguity
-			}
-		}
-		return exact >= flows*8/10
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(2008))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeStoppingSetPair pins a recorded instance that no decoder can
+// fully decode: flows 1 and 2 (sizes 199 and 152) map to the same three
+// layer-1 counters, so their sizes cannot be split. The decode must not
+// claim convergence, and the three flows outside the pair must still
+// decode exactly.
+func TestDecodeStoppingSetPair(t *testing.T) {
+	s, ids, truth, res := decodeInstance(0x609d57cc7d5a5a89, []uint8{0x48, 0xc6, 0x97, 0xb3, 0xdf})
+	a, b := s.sel1.Select(ids[1], nil), s.sel1.Select(ids[2], nil)
+	slices.Sort(a)
+	slices.Sort(b)
+	if !slices.Equal(a, b) {
+		t.Fatalf("flows 1 and 2 map to layer-1 counters %v and %v; the recorded instance shares them", a, b)
+	}
+	if got, want := stoppingSet(s, ids), []bool{false, true, true, false, false}; !slices.Equal(got, want) {
+		t.Fatalf("stopping set %v, want %v", got, want)
+	}
+	if res.Converged {
+		t.Fatalf("decode of two indistinguishable flows claims convergence: %v, truth %v", res.Estimates, truth)
+	}
+	for _, i := range []int{0, 3, 4} {
+		if res.Estimates[i] != float64(truth[i]) {
+			t.Errorf("flow %d outside the pair decodes to %v, truth %d", i, res.Estimates[i], truth[i])
+		}
+	}
+	if fault := decodeFault(s, ids, truth, res); fault != "" {
+		t.Fatal(fault)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"github.com/caesar-sketch/caesar/internal/cache"
 	"github.com/caesar-sketch/caesar/internal/counters"
@@ -114,44 +113,6 @@ func ReadSketch(r io.Reader) (*Sketch, int64, error) {
 	}
 	s, err := DecodeSketchState(sketch.NewDecoder(payload))
 	return s, n, err
-}
-
-// EncodeEstimatorState appends the estimator's complete state — the
-// query-phase view alone, without construction bookkeeping — so sealed
-// measurement epochs (Window) can be serialized.
-func (e *Estimator) EncodeEstimatorState(enc *sketch.Encoder) {
-	enc.Int(e.K)
-	enc.U64(e.Y)
-	enc.F64(e.TotalMass)
-	enc.F64(e.Q)
-	enc.F64(e.SizeSecondMoment)
-	enc.U64(e.sel.Seed())
-	e.sram.EncodeState(enc)
-}
-
-// DecodeEstimatorState rebuilds an estimator from EncodeEstimatorState
-// output.
-func DecodeEstimatorState(d *sketch.Decoder) (*Estimator, error) {
-	k := d.Int()
-	y := d.U64()
-	totalMass := d.F64()
-	q := d.F64()
-	ssm := d.F64()
-	seed := d.U64()
-	arr, arrErr := counters.DecodeArrayState(d)
-	if err := firstErr(d.Err(), arrErr); err != nil {
-		return nil, err
-	}
-	if math.IsNaN(q) || math.IsInf(q, 0) || math.IsNaN(ssm) || math.IsInf(ssm, 0) {
-		return nil, fmt.Errorf("core: snapshot distribution knowledge not finite (Q=%v E(z²)=%v)", q, ssm)
-	}
-	est, err := NewEstimator(arr, k, seed, y, totalMass)
-	if err != nil {
-		return nil, fmt.Errorf("core: snapshot estimator rejected: %w", err)
-	}
-	est.Q = q
-	est.SizeSecondMoment = ssm
-	return est, nil
 }
 
 func firstErr(errs ...error) error {

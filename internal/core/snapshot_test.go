@@ -188,38 +188,6 @@ func TestSnapshotRejectsBadPolicy(t *testing.T) {
 	}
 }
 
-func TestEstimatorStateRoundTrip(t *testing.T) {
-	s := buildLoadedSketch(t)
-	est := s.Estimator()
-	est.Q, est.SizeSecondMoment = 1500, 777.5
-
-	var e sketch.Encoder
-	est.EncodeEstimatorState(&e)
-	got, err := DecodeEstimatorState(sketch.NewDecoder(e.Bytes()))
-	if err != nil {
-		t.Fatalf("DecodeEstimatorState: %v", err)
-	}
-	for f := hashing.FlowID(0); f < 500; f++ {
-		if a, b := est.CSM(f), got.CSM(f); math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("flow %d: CSM %v != %v", f, a, b)
-		}
-		_, ia := est.MLMInterval(f, 0.9)
-		_, ib := got.MLMInterval(f, 0.9)
-		if math.Float64bits(ia.Lo) != math.Float64bits(ib.Lo) ||
-			math.Float64bits(ia.Hi) != math.Float64bits(ib.Hi) {
-			t.Fatalf("flow %d: MLM interval %+v != %+v", f, ia, ib)
-		}
-	}
-
-	// Non-finite distribution knowledge must be rejected.
-	est.Q = math.Inf(1)
-	var bad sketch.Encoder
-	est.EncodeEstimatorState(&bad)
-	if _, err := DecodeEstimatorState(sketch.NewDecoder(bad.Bytes())); err == nil {
-		t.Fatal("DecodeEstimatorState accepted infinite Q")
-	}
-}
-
 func TestMergeInvalidatesCachedEstimator(t *testing.T) {
 	a := buildLoadedSketch(t)
 	b := buildLoadedSketch(t)

@@ -11,7 +11,6 @@ import (
 
 	"github.com/caesar-sketch/caesar/internal/hashing"
 	"github.com/caesar-sketch/caesar/internal/spsc"
-	"github.com/caesar-sketch/caesar/internal/stats"
 )
 
 // sharded is one epoch's shard set inside a ShardedWindow: n independent
@@ -23,8 +22,11 @@ import (
 // own: handles buffer privately per shard and hand full batches to the
 // shard workers through their own SPSC rings, so they never contend with
 // each other. A handle is also safe to share, in which case its callers
-// serialize on its mutex. closeWith drains the workers (and every
-// outstanding handle) before the epoch is queried; it is the window's seal.
+// serialize on its mutex. The window's seal is closeWith, which drains the
+// workers (and every outstanding handle) and flushes the shards, then seal,
+// which hands the flushed shards and the loss ledger to a sealedEpoch. The
+// shard set is ingest machinery only: once sealed, nothing queries it, and
+// it is garbage as soon as its last worker exits.
 //
 // # Overload and fault tolerance
 //
@@ -33,7 +35,8 @@ import (
 // under loss — RCS at empirical rates 2/3 and 9/10 because off-chip SRAM
 // cannot keep line rate — and the same discipline applies here: every
 // packet handed to an ingest entry point is either applied to a shard
-// sketch or counted as dropped, never lost without a trace. The invariant
+// sketch or counted in the ledger, never lost without a trace. The
+// sealed epoch's invariant
 //
 //	packets observed == NumPackets() + Stats().DroppedPackets
 //
@@ -46,10 +49,10 @@ import (
 type sharded struct {
 	opts   ShardedOptions
 	shards []*Sketch
-	// ringShards hold the per-shard SPSC ring sets (nil on snapshot-loaded
-	// instances). Each registered ingester owns one ring per shard, so every
-	// ring has exactly one producer (the handle, serialized by its own mutex)
-	// and one consumer (the shard worker).
+	// ringShards hold the per-shard SPSC ring sets. Each registered
+	// ingester owns one ring per shard, so every ring has exactly one
+	// producer (the handle, serialized by its own mutex) and one consumer
+	// (the shard worker).
 	ringShards []*ringShard
 	// router maps flows to shards: one seeded Mix64 and an exact
 	// multiply-based modulo, with a block variant that pipelines the hashes
@@ -77,20 +80,14 @@ type sharded struct {
 	abort     chan struct{}
 	abortOnce sync.Once
 
-	// drops is the loss ledger: every packet that entered an ingest entry
-	// point but will never reach a shard sketch is counted here, by cause.
-	drops dropStats
-	// shardDropped[i] counts dropped packets that were destined for shard i.
-	// Padded: neighboring shards' workers bump adjacent counters under
-	// overload, and 8-byte atomics sharing a line would ping-pong it.
-	shardDropped []paddedCounter
-	// shardDown[i] is 1 once shard i's worker has been quarantined.
-	shardDown []atomic.Uint32
+	// ledger is the epoch's loss ledger. The sealed epoch keeps the same
+	// one: a worker that a deadline-cut seal abandoned still counts drops
+	// into it after the seal.
+	ledger *ledger
 
 	// workerExited[i] is closed when shard i's worker goroutine returns; a
 	// deadline-bounded shutdown uses it to tell which shards are safe to
-	// flush and query (nil on snapshot-loaded instances, which never had
-	// workers).
+	// flush and query.
 	workerExited []chan struct{}
 }
 
@@ -340,12 +337,14 @@ type paddedCounter struct {
 	_ [56]byte
 }
 
-// dropStats is the loss ledger, partitioned by cause. Every field counts
-// packets except batches, which counts whole batches discarded in one step.
-// All fields are padded atomics: drops are recorded from producer goroutines,
+// ledger is one epoch's loss ledger: every packet that entered an ingest
+// entry point but will never reach a shard sketch, counted by cause and by
+// shard, and which shards were quarantined. Every cause counts packets
+// except batches, which counts whole batches discarded in one step. All
+// counters are padded atomics: drops are recorded from producer goroutines,
 // shard workers, and the shutdown path concurrently, and padding keeps one
 // cause's traffic from invalidating another's cache line.
-type dropStats struct {
+type ledger struct {
 	overflow   paddedCounter // Drop policy: batch rejected on a full queue
 	sampled    paddedCounter // Sample policy: packets thinned on overflow
 	quarantine paddedCounter // packets abandoned by or routed to a quarantined shard
@@ -353,7 +352,63 @@ type dropStats struct {
 	afterClose paddedCounter // Observe/ObserveBatch after Close (counted no-op)
 	injected   paddedCounter // batches suppressed by a BeforeEnqueue hook
 	batches    paddedCounter // whole batches dropped, all causes
+
+	// shardDropped[i] counts dropped packets that were destined for shard
+	// i. Padded: neighboring shards' workers bump adjacent counters under
+	// overload, and 8-byte atomics sharing a line would ping-pong it.
+	shardDropped []paddedCounter
+	// shardDown[i] is 1 once shard i's worker has been quarantined.
+	shardDown []atomic.Uint32
 }
+
+// newLedger returns an empty ledger for n shards.
+func newLedger(n int) *ledger {
+	return &ledger{shardDropped: make([]paddedCounter, n), shardDown: make([]atomic.Uint32, n)}
+}
+
+// stats builds a Stats carrying only the per-cause counters, which are
+// safe to read while workers are still applying batches.
+func (l *ledger) stats() Stats {
+	return Stats{
+		DroppedOverflow:   l.overflow.Load(),
+		DroppedSampled:    l.sampled.Load(),
+		DroppedQuarantine: l.quarantine.Load(),
+		DroppedTimeout:    l.timeout.Load(),
+		DroppedAfterClose: l.afterClose.Load(),
+		DroppedInjected:   l.injected.Load(),
+		DroppedBatches:    l.batches.Load(),
+	}
+}
+
+// quarantined counts the shards whose worker has been quarantined.
+func (l *ledger) quarantined() int {
+	n := 0
+	for i := range l.shardDown {
+		n += int(l.shardDown[i].Load())
+	}
+	return n
+}
+
+// health reports the worker pool's failure state. A fresh shard set is
+// Healthy; the state only moves forward.
+func (l *ledger) health() Health {
+	down := l.quarantined()
+	switch {
+	case down == 0:
+		return Healthy
+	case down < len(l.shardDown):
+		return Degraded
+	default:
+		return Quarantined
+	}
+}
+
+// seedStride is the golden-ratio odd constant that spaces hash seeds: shard
+// i of a shard set hashes under the set's seed plus i strides, and each
+// rotation's shard set starts beyond the previous one's last shard, so no
+// (epoch, shard) pair reuses another's seed and their sharing noises
+// decorrelate.
+const seedStride = 0x9e3779b97f4a7c15
 
 // newSharded builds n shards from a total-budget config (n = 0 selects
 // GOMAXPROCS shards) and starts their workers. The tuple hasher is supplied
@@ -383,8 +438,7 @@ func newSharded(n int, cfg Config, opts ShardedOptions, ids tupleHasher) (*shard
 		router:       hashing.NewShardRouter(n, shardRouteSeed),
 		ids:          ids,
 		abort:        make(chan struct{}),
-		shardDropped: make([]paddedCounter, n),
-		shardDown:    make([]atomic.Uint32, n),
+		ledger:       newLedger(n),
 		workerExited: make([]chan struct{}, n),
 	}
 	for i := range s.shards {
@@ -399,7 +453,7 @@ func newSharded(n int, cfg Config, opts ShardedOptions, ids tupleHasher) (*shard
 		if i < entryRem {
 			per.CacheEntries++
 		}
-		per.Seed = cfg.Seed + uint64(i)*0x9e3779b97f4a7c15
+		per.Seed = cfg.Seed + uint64(i)*seedStride
 		sk, err := New(per)
 		if err != nil {
 			return nil, err
@@ -426,9 +480,9 @@ func (s *sharded) applyBatch(i int, batch shardBatch) (ok bool) {
 		if r := recover(); r != nil {
 			applied := sk.NumPackets() - before
 			short := uint64(len(batch)) - applied
-			s.drops.quarantine.Add(short)
-			s.shardDropped[i].Add(short)
-			s.drops.batches.Add(1)
+			s.ledger.quarantine.Add(short)
+			s.ledger.shardDropped[i].Add(short)
+			s.ledger.batches.Add(1)
 			s.quarantineShard(i, fmt.Sprintf("%v", r))
 			ok = false
 		}
@@ -444,34 +498,11 @@ func (s *sharded) applyBatch(i int, batch shardBatch) (ok bool) {
 // quarantineShard marks shard i down; the first quarantine of a shard
 // hands its reason to the OnQuarantine hook.
 func (s *sharded) quarantineShard(i int, reason string) {
-	if s.shardDown[i].CompareAndSwap(0, 1) {
+	if s.ledger.shardDown[i].CompareAndSwap(0, 1) {
 		if hook := s.opts.Hooks.OnQuarantine; hook != nil {
 			hook(i, reason)
 		}
 	}
-}
-
-// Health reports the worker pool's failure state. A freshly built (or
-// snapshot-loaded) sketch is Healthy; the state only moves forward.
-func (s *sharded) Health() Health {
-	down := s.quarantinedShards()
-	switch {
-	case down == 0:
-		return Healthy
-	case down < len(s.shards):
-		return Degraded
-	default:
-		return Quarantined
-	}
-}
-
-// quarantinedShards counts shards whose worker has been quarantined.
-func (s *sharded) quarantinedShards() int {
-	n := 0
-	for i := range s.shardDown {
-		n += int(s.shardDown[i].Load())
-	}
-	return n
 }
 
 // aborted reports whether a deadline-bounded shutdown has tripped the abort
@@ -494,8 +525,8 @@ func (s *sharded) triggerAbort() {
 // dropped for the given cause.
 func (s *sharded) dropBatch(i, n int, cause *paddedCounter) {
 	cause.Add(uint64(n))
-	s.shardDropped[i].Add(uint64(n))
-	s.drops.batches.Add(1)
+	s.ledger.shardDropped[i].Add(uint64(n))
+	s.ledger.batches.Add(1)
 }
 
 // getBatch returns an empty batch with batchSize capacity, recycled from
@@ -518,23 +549,13 @@ func (s *sharded) putBatch(b shardBatch) {
 	s.batchPool.Put(&b)
 }
 
-// NumShards returns the shard count.
-func (s *sharded) NumShards() int { return len(s.shards) }
-
-// ShardFor returns the index of the shard that owns a flow.
-//
-//caesar:hotpath routes every flow on the scalar query path
-func (s *sharded) ShardFor(flow FlowID) int {
-	return s.router.Route(flow)
-}
-
 // Ingester returns a new per-producer ingest handle. Handles own private
 // per-shard fill buffers, so producers holding distinct handles never
 // contend with each other on the packet path — the handle's mutex is
-// uncontended except at the Close rendezvous. Close drains every handle's
-// buffered packets. Minting a new handle from a closed shard set is a
-// programming error and panics; observing through an existing handle after
-// Close is a counted no-op.
+// uncontended except at the closeWith rendezvous. closeWith drains every
+// handle's buffered packets. Minting a new handle from a closed shard set
+// is a programming error and panics; observing through an existing handle
+// after closeWith is a counted no-op.
 func (s *sharded) Ingester() *ingester {
 	batches := make([]shardBatch, len(s.shards))
 	rings := make([]*spsc.Ring[shardBatch], len(s.shards))
@@ -587,7 +608,7 @@ type ingester struct {
 // shard of every flow as one block (RouteBlock: the routing hashes are
 // data-independent, so the tight loop pipelines where a per-packet
 // hash→buffer sequence would serialize on each hash's latency;
-// bit-identical to ShardFor per flow), appends each flow to its shard's
+// bit-identical to Route per flow), appends each flow to its shard's
 // buffer, and enqueues every buffer that fills.
 //
 // After Close, every call is a counted no-op: the packets are discarded
@@ -629,8 +650,8 @@ func (h *ingester) observe(flows []FlowID, tuples []FiveTuple) {
 
 // dropAfterClose accounts one post-Close packet destined for shard i.
 func (s *sharded) dropAfterClose(i int) {
-	s.drops.afterClose.Add(1)
-	s.shardDropped[i].Add(1)
+	s.ledger.afterClose.Add(1)
+	s.ledger.shardDropped[i].Add(1)
 }
 
 // Flush pushes the handle's partially-filled buffers to the shard workers
@@ -655,22 +676,22 @@ func (h *ingester) Flush() {
 // ring, applying the overflow policy. Hook suppression and policy drops are
 // counted; a blocking push can be cut short only by the shutdown abort
 // latch, in which case the batch counts as a timeout drop. Called with h.mu
-// held, which is what makes it safe against Close: Close cannot drain this
-// handle (and therefore cannot close its rings) until h.mu is released, so
-// the push always lands on an open ring.
+// held, which is what makes it safe against closeWith: closeWith cannot
+// drain this handle (and therefore cannot close its rings) until h.mu is
+// released, so the push always lands on an open ring.
 //
 //caesar:hotpath hands off one full batch per batchSize packets
 func (h *ingester) enqueue(i int, b shardBatch) {
 	s := h.s
 	if hook := s.opts.Hooks.BeforeEnqueue; hook != nil && !hook(i, len(b)) {
-		s.dropBatch(i, len(b), &s.drops.injected)
+		s.dropBatch(i, len(b), &s.ledger.injected)
 		s.putBatch(b)
 		return
 	}
 	switch s.opts.OverflowPolicy {
 	case Drop:
 		if !h.tryPush(i, b) {
-			s.dropBatch(i, len(b), &s.drops.overflow)
+			s.dropBatch(i, len(b), &s.ledger.overflow)
 			s.putBatch(b)
 		}
 	case Sample:
@@ -692,8 +713,8 @@ func (s *sharded) thinBatch(i int, b shardBatch) shardBatch {
 		kept = append(kept, b[j])
 	}
 	thinned := len(b) - len(kept)
-	s.drops.sampled.Add(uint64(thinned))
-	s.shardDropped[i].Add(uint64(thinned))
+	s.ledger.sampled.Add(uint64(thinned))
+	s.ledger.shardDropped[i].Add(uint64(thinned))
 	return kept
 }
 
@@ -701,7 +722,7 @@ func (s *sharded) thinBatch(i int, b shardBatch) shardBatch {
 // shard workers, waiting for ring space (shutdown wants maximum fidelity,
 // so neither the overflow policy nor the BeforeEnqueue hook applies here).
 // The pushes give up when ctx expires or the abort latch trips, counting
-// the remaining buffers as timed-out drops. Called only by the Close path;
+// the remaining buffers as timed-out drops. Called only by closeWith;
 // reports whether any buffer was dropped on the deadline.
 func (h *ingester) drain(ctx context.Context) bool {
 	h.mu.Lock()
@@ -716,7 +737,7 @@ func (h *ingester) drain(ctx context.Context) bool {
 		case len(b) == 0:
 		case hit:
 			// The deadline already fired: count without re-waiting.
-			h.s.dropBatch(i, len(b), &h.s.drops.timeout)
+			h.s.dropBatch(i, len(b), &h.s.ledger.timeout)
 		default:
 			hit = !h.pushWait(ctx, i, b)
 		}
@@ -731,29 +752,23 @@ func (h *ingester) drain(ctx context.Context) bool {
 	return hit
 }
 
-// Close drains every registered ingester handle, stops the workers, and
-// flushes every shard's cache to its counters. Idempotent. Close never
-// gives up on queued work: with the Block policy it waits for stalled
-// consumers indefinitely; closeWith bounds the wait.
-func (s *sharded) Close() {
-	// Background contexts never expire, so the deadline machinery is inert
-	// and the error is structurally nil.
-	_ = s.closeWith(context.Background())
-}
-
-// closeWith is Close with a deadline, the seal of RotateContext and
-// CloseContext. When ctx expires before the drain completes, the abort
-// latch trips: blocked producers give up, workers discard still-queued
-// batches, and every abandoned packet is counted in Stats.DroppedTimeout —
-// so a stalled consumer cannot hang shutdown, and nothing is silently lost.
-// A worker wedged mid-batch (a goroutine cannot be killed) is abandoned
-// after a short grace and its shard quarantined; when it eventually
-// finishes, its applied packets surface in NumPackets and the rest of its
-// queue drains as counted drops, restoring the exact accounting invariant.
+// closeWith drains every registered ingester handle, stops the workers,
+// and flushes every shard's cache to its counters: the first half of the
+// seal of RotateContext and CloseContext, before seal. Under a context
+// that never expires it never gives up on queued work: with the Block
+// policy it waits for stalled consumers indefinitely. When ctx expires
+// before the drain completes, the abort latch trips: blocked producers
+// give up, workers discard still-queued batches, and every abandoned
+// packet is counted in Stats.DroppedTimeout — so a stalled consumer cannot
+// hang shutdown, and nothing is silently lost. A worker wedged mid-batch
+// (a goroutine cannot be killed) is abandoned after a short grace and its
+// shard quarantined; when it eventually finishes, its applied packets
+// surface in the sealed epoch's NumPackets and the rest of its queue
+// drains as counted drops, restoring the exact accounting invariant.
 // Returns nil when everything drained in time, or ctx's error when the
 // deadline cut the drain short; the shard set is closed either way, and
-// queries answer from the shards whose workers finished. Idempotent: later
-// calls return nil.
+// its sealed epoch answers from the shards whose workers finished.
+// Idempotent: later calls return nil.
 func (s *sharded) closeWith(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -814,12 +829,8 @@ func (s *sharded) closeWith(ctx context.Context) error {
 	return nil
 }
 
-// workerDone reports whether shard i's worker goroutine has returned (true
-// on snapshot-loaded instances, which never had workers).
+// workerDone reports whether shard i's worker goroutine has returned.
 func (s *sharded) workerDone(i int) bool {
-	if s.workerExited == nil {
-		return true
-	}
 	select {
 	case <-s.workerExited[i]:
 		return true
@@ -868,28 +879,6 @@ func (s *sharded) safeFlush(i int) {
 	s.shards[i].Flush()
 }
 
-// NumPackets returns the total packets observed across shards. Call after
-// Close for an exact figure.
-func (s *sharded) NumPackets() uint64 {
-	var n uint64
-	for _, sk := range s.shards {
-		n += sk.NumPackets()
-	}
-	return n
-}
-
-// DroppedPackets returns the total packets counted as dropped across all
-// causes (see the Stats Dropped* fields for the partition).
-func (s *sharded) DroppedPackets() uint64 { return s.ledgerStats().dropped() }
-
-// ShardDropped returns the dropped-packet count attributed to one shard.
-func (s *sharded) ShardDropped(i int) uint64 {
-	if i < 0 || i >= len(s.shardDropped) {
-		return 0
-	}
-	return s.shardDropped[i].Load()
-}
-
 // lossRate returns dropped / (dropped + applied), the ingest path's
 // analogue of the paper's RCS loss rate ρ; 0 for a lossless run.
 func lossRate(dropped, applied uint64) float64 {
@@ -899,36 +888,31 @@ func lossRate(dropped, applied uint64) float64 {
 	return float64(dropped) / (float64(dropped) + float64(applied))
 }
 
-// Stats aggregates the shards' observability counters and the loss ledger.
-func (s *sharded) Stats() Stats {
-	agg := s.ledgerStats()
-	for _, sk := range s.shards {
-		accumulateStats(&agg, sk.Stats())
+// lossAdjusted is the Figure 7 correction est/(1-rho): the raw estimate
+// when nothing was lost, 0 when everything was.
+func lossAdjusted(est, rho float64) float64 {
+	switch {
+	case rho <= 0:
+		return est
+	case rho >= 1:
+		return 0
 	}
-	agg.QuarantinedShards = s.quarantinedShards()
-	agg.Health = s.Health()
-	agg.DroppedPackets = agg.dropped()
-	agg.EffectiveLossRate = lossRate(agg.DroppedPackets, uint64(agg.Packets))
-	return agg
+	return est / (1 - rho)
 }
 
-// Estimator returns the query view. It requires Close to have been called:
-// querying while workers are still draining would race with ingestion.
-// Quarantined shards answer from their last consistent state; a shard whose
-// state is unrecoverable is excluded (its flows estimate 0, and Covered
-// reports false for them).
-func (s *sharded) Estimator() (*shardedEstimator, error) {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if !closed {
-		return nil, fmt.Errorf("caesar: Estimator before Close; call Close to drain ingestion first")
-	}
+// seal builds the sealed epoch of a closed shard set: its flushed shards,
+// router and loss ledger, and one query view per shard. Only a closed shard
+// set is sealed, so no handle or worker applies packets to a shard with a
+// view. Quarantined shards answer from their last consistent state; a shard
+// whose state is unrecoverable gets a nil view (its flows estimate 0, and
+// Covered reports false for them). The sealed epoch keeps none of the
+// ingest machinery, so the shard set is garbage once its workers exit.
+func (s *sharded) seal(rotation int) *sealedEpoch {
 	ests := make([]*Estimator, len(s.shards))
 	for i, sk := range s.shards {
 		ests[i] = s.safeEstimator(i, sk)
 	}
-	return &shardedEstimator{owner: s, ests: ests}, nil
+	return &sealedEpoch{rotation: rotation, router: s.router, shards: s.shards, ests: ests, ledger: s.ledger}
 }
 
 // safeEstimator builds shard i's query view under recover: a shard whose
@@ -948,63 +932,4 @@ func (s *sharded) safeEstimator(i int, sk *Sketch) (est *Estimator) {
 		}
 	}()
 	return sk.Estimator()
-}
-
-// shardedEstimator answers a sealed epoch's scalar queries by routing each
-// flow to its owning shard's estimator; the window's bulk path
-// (ShardedWindow.sumEpochs) reads ests directly. Not safe for concurrent
-// use: the per-shard estimators reuse scratch, so the window serializes
-// queries.
-type shardedEstimator struct {
-	owner *sharded
-	ests  []*Estimator
-}
-
-// Covered reports whether the flow's owning shard produced a query view.
-// It is false only for flows owned by a quarantined shard whose state was
-// unrecoverable; their Estimate is 0.
-func (e *shardedEstimator) Covered(flow FlowID) bool {
-	return e.ests[e.owner.ShardFor(flow)] != nil
-}
-
-// Estimate returns the flow's estimated size. Under loss (Drop/Sample
-// policies, quarantined shards, deadline drops) the estimate covers the
-// recorded fraction of the flow, exactly like the paper's lossy RCS;
-// ShardedWindow.EstimateLossAdjusted gives the loss-corrected figure.
-func (e *shardedEstimator) Estimate(flow FlowID, m Method) float64 {
-	est := e.ests[e.owner.ShardFor(flow)]
-	if est == nil {
-		return 0
-	}
-	return est.Estimate(flow, m)
-}
-
-// lossAdjusted is the Figure 7 correction est/(1-rho): the raw estimate
-// when nothing was lost, 0 when everything was.
-func lossAdjusted(est, rho float64) float64 {
-	switch {
-	case rho <= 0:
-		return est
-	case rho >= 1:
-		return 0
-	}
-	return est / (1 - rho)
-}
-
-// EstimateWithInterval returns the CSM estimate and confidence interval.
-// Flows owned by an unrecoverable quarantined shard return (0, zero
-// interval); see Covered. An alpha outside (0,1) panics for every flow,
-// covered or not, as it does in ShardedWindow.EstimateWithInterval.
-func (e *shardedEstimator) EstimateWithInterval(flow FlowID, alpha float64) (float64, Interval) {
-	return e.intervalAt(flow, stats.ZAlpha(alpha))
-}
-
-// intervalAt is EstimateWithInterval at a precomputed z quantile, the
-// per-epoch step of ShardedWindow.EstimateWithInterval.
-func (e *shardedEstimator) intervalAt(flow FlowID, z float64) (float64, Interval) {
-	est := e.ests[e.owner.ShardFor(flow)]
-	if est == nil {
-		return 0, Interval{}
-	}
-	return est.intervalAt(flow, z)
 }

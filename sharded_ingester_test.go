@@ -2,6 +2,7 @@ package caesar
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,11 +21,11 @@ func ingesterTestConfig() Config {
 	}
 }
 
-// shardedSnapshot is the closed shard set's encoded state, the payload a
-// sealed epoch carries in a window checkpoint.
-func shardedSnapshot(s *sharded) []byte {
+// sealedSnapshot is a sealed epoch's encoded state, the payload it carries
+// in a window checkpoint.
+func sealedSnapshot(ep *sealedEpoch) []byte {
 	var e sketch.Encoder
-	s.encodeState(&e)
+	ep.encode(&e)
 	return e.Bytes()
 }
 
@@ -59,8 +60,7 @@ func TestIngesterBatchSizeInvariance(t *testing.T) {
 		}
 		h.Flush() // mid-stream Flush must not disturb anything
 		h.observe(trace[20000:], nil)
-		s.Close()
-		snap := shardedSnapshot(s)
+		snap := sealedSnapshot(closeAndSeal(t, s))
 		if want == nil {
 			want = snap
 			continue
@@ -82,7 +82,7 @@ func TestShardedOptions(t *testing.T) {
 		o.OverflowPolicy != Block {
 		t.Fatalf("default options = %+v", o)
 	}
-	s.Close()
+	closeAndSeal(t, s)
 
 	s, err = newTestSharded(2, ingesterTestConfig(), ShardedOptions{batchSize: 17, queueDepth: 3})
 	if err != nil {
@@ -91,7 +91,7 @@ func TestShardedOptions(t *testing.T) {
 	if o := s.opts; o.batchSize != 17 || o.queueDepth != 3 {
 		t.Fatalf("explicit options = %+v", o)
 	}
-	s.Close()
+	closeAndSeal(t, s)
 
 	for _, bad := range []ShardedOptions{
 		{OverflowPolicy: OverflowPolicy(99)},
@@ -125,7 +125,7 @@ func TestIngesterAfterClose(t *testing.T) {
 	}
 	h := s.Ingester()
 	h.observe([]FlowID{1}, nil)
-	s.Close()
+	ep := closeAndSeal(t, s)
 
 	h.Flush() // must not panic or resurrect buffers
 
@@ -138,10 +138,10 @@ func TestIngesterAfterClose(t *testing.T) {
 		}
 	}()
 	defer func() {
-		if got := s.NumPackets(); got != 1 {
+		if got := ep.NumPackets(); got != 1 {
 			t.Fatalf("NumPackets = %d, want 1", got)
 		}
-		if st := s.Stats(); st.DroppedAfterClose != 3 {
+		if st := ep.Stats(); st.DroppedAfterClose != 3 {
 			t.Fatalf("DroppedAfterClose = %d, want 3", st.DroppedAfterClose)
 		}
 	}()
@@ -195,22 +195,20 @@ func TestIngesterCloseRace(t *testing.T) {
 	}
 	close(start)
 	time.Sleep(5 * time.Millisecond)
-	s.Close()
+	ep := closeAndSeal(t, s)
 	time.Sleep(2 * time.Millisecond) // exercise the counted no-op path under -race
 	stop.Store(true)
 	wg.Wait()
 
-	st := s.Stats()
-	if got, want := s.NumPackets()+st.DroppedAfterClose, sent.Load(); got != want {
+	st := ep.Stats()
+	if got, want := ep.NumPackets()+st.DroppedAfterClose, sent.Load(); got != want {
 		t.Fatalf("NumPackets+DroppedAfterClose = %d+%d = %d, want sent = %d (lost or duplicated packets across the Close race)",
-			s.NumPackets(), st.DroppedAfterClose, got, want)
+			ep.NumPackets(), st.DroppedAfterClose, got, want)
 	}
-	est, err := s.Estimator()
-	if err != nil {
-		t.Fatalf("Estimator after Close: %v", err)
-	}
-	if got := est.Estimate(FlowID(1), CSM); got != got {
+	if got := ep.Estimate(FlowID(1), CSM); got != got {
 		t.Fatalf("estimate is NaN after racing Close")
 	}
-	s.Close() // idempotent under racing handles too
+	if err := s.closeWith(context.Background()); err != nil { // idempotent under racing handles too
+		t.Fatalf("second closeWith: %v", err)
+	}
 }

@@ -141,7 +141,7 @@ func (h *ingester) pushWait(ctx context.Context, i int, b shardBatch) bool {
 			return true
 		}
 		if ctx.Err() != nil || s.aborted() {
-			s.dropBatch(i, len(b), &s.drops.timeout)
+			s.dropBatch(i, len(b), &s.ledger.timeout)
 			s.putBatch(b)
 			return false
 		}
@@ -161,8 +161,8 @@ func (h *ingester) pushWait(ctx context.Context, i int, b shardBatch) bool {
 
 // worker consumes shard i's ring set. A batch is applied under recover
 // (applyBatch): a panicking shard is quarantined and the worker degrades
-// into a counting drain, so producers blocked on its rings (and Close) never
-// hang on a dead consumer and every abandoned packet is accounted. It
+// into a counting drain, so producers blocked on its rings (and closeWith)
+// never hang on a dead consumer and every abandoned packet is accounted. It
 // returns only after the closing latch has tripped and every ring it has
 // ever been shown is closed and empty, so once workerExited[i] closes every
 // batch it was handed is either applied or counted.
@@ -194,12 +194,12 @@ func (s *sharded) worker(i int) {
 			case quarantined:
 				// This shard's sketch panicked: degrade into a counting
 				// drain.
-				s.dropBatch(i, len(b), &s.drops.quarantine)
+				s.dropBatch(i, len(b), &s.ledger.quarantine)
 				s.putBatch(b)
 			case s.aborted():
 				// Deadline-bounded shutdown gave up on queued work: count it
 				// instead of applying it.
-				s.dropBatch(i, len(b), &s.drops.timeout)
+				s.dropBatch(i, len(b), &s.ledger.timeout)
 				s.putBatch(b)
 			default:
 				if !s.applyBatch(i, b) {

@@ -54,7 +54,7 @@ func TestShardedMatchesSequentialOracle(t *testing.T) {
 	for start := 0; start < len(flows); start += 100 {
 		h.observe(flows[start:min(start+100, len(flows))], nil)
 	}
-	s.Close()
+	ep := closeAndSeal(t, s)
 
 	// The oracle's shards: the same budget split and per-shard seeds as
 	// newSharded.
@@ -132,7 +132,7 @@ func TestShardedMatchesSequentialOracle(t *testing.T) {
 	}
 	for i := range oracle {
 		var got, want bytes.Buffer
-		if _, err := s.shards[i].WriteTo(&got); err != nil {
+		if _, err := ep.shards[i].WriteTo(&got); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := oracle[i].WriteTo(&want); err != nil {
@@ -141,11 +141,11 @@ func TestShardedMatchesSequentialOracle(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Errorf("shard %d: state differs from the sequential oracle", i)
 		}
-		if got := s.ShardDropped(i); got != shardDropped[i] {
-			t.Errorf("ShardDropped(%d) = %d, oracle %d", i, got, shardDropped[i])
+		if got := ep.ledger.shardDropped[i].Load(); got != shardDropped[i] {
+			t.Errorf("shard %d dropped %d, oracle %d", i, got, shardDropped[i])
 		}
 	}
-	st := s.Stats()
+	st := ep.Stats()
 	ledger := []struct {
 		name      string
 		got, want uint64
@@ -164,7 +164,7 @@ func TestShardedMatchesSequentialOracle(t *testing.T) {
 	if st.Health != Degraded || st.QuarantinedShards != quarantined {
 		t.Errorf("health %v with %d quarantined shards, oracle Degraded with %d", st.Health, st.QuarantinedShards, quarantined)
 	}
-	if got := s.NumPackets() + s.DroppedPackets(); got != uint64(len(flows)) {
+	if got := ep.NumPackets() + ep.DroppedPackets(); got != uint64(len(flows)) {
 		t.Errorf("ledger: applied+dropped = %d, observed %d", got, len(flows))
 	}
 }
@@ -214,12 +214,12 @@ func TestRingShardedStress(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
-	s.Close()
+	ep := closeAndSeal(t, s)
 	const observed = producers * perProducer
-	if got := s.NumPackets() + s.DroppedPackets(); got != observed {
+	if got := ep.NumPackets() + ep.DroppedPackets(); got != observed {
 		t.Fatalf("ledger: applied+dropped = %d, observed %d", got, observed)
 	}
-	if st := s.Stats(); st.DroppedPackets != 0 {
+	if st := ep.Stats(); st.DroppedPackets != 0 {
 		t.Fatalf("Block policy dropped %d packets", st.DroppedPackets)
 	}
 }
@@ -246,9 +246,9 @@ func TestRingObserveCloseRace(t *testing.T) {
 			}(h)
 		}
 		runtime.Gosched()
-		s.Close()
+		ep := closeAndSeal(t, s)
 		wg.Wait()
-		if got := s.NumPackets() + s.DroppedPackets(); got != 4*perG {
+		if got := ep.NumPackets() + ep.DroppedPackets(); got != 4*perG {
 			t.Fatalf("iter %d: ledger %d, observed %d", iter, got, 4*perG)
 		}
 	}

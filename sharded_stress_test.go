@@ -1,6 +1,7 @@
 package caesar
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,7 +50,7 @@ func TestShardedObserveCloseRace(t *testing.T) {
 	}
 	close(start)
 	time.Sleep(5 * time.Millisecond) // let the observers pile into the buffers
-	s.Close()
+	ep := closeAndSeal(t, s)
 	// Workers keep observing for a moment after Close so the counted-no-op
 	// path is actually exercised under the race detector.
 	time.Sleep(2 * time.Millisecond)
@@ -60,10 +61,10 @@ func TestShardedObserveCloseRace(t *testing.T) {
 	// or counted as an after-Close drop: no loss, no duplication. (sent is
 	// incremented after Observe returns, so the tallies agree exactly once
 	// all workers have exited.)
-	st := s.Stats()
-	if got, want := s.NumPackets()+st.DroppedAfterClose, sent.Load(); got != want {
+	st := ep.Stats()
+	if got, want := ep.NumPackets()+st.DroppedAfterClose, sent.Load(); got != want {
 		t.Fatalf("NumPackets+DroppedAfterClose = %d+%d = %d, want sent = %d (lost or duplicated packets across the Close race)",
-			s.NumPackets(), st.DroppedAfterClose, got, want)
+			ep.NumPackets(), st.DroppedAfterClose, got, want)
 	}
 	if st.DroppedAfterClose == 0 {
 		t.Fatalf("no after-Close drops recorded; the race window did not exercise the counted no-op path")
@@ -71,14 +72,12 @@ func TestShardedObserveCloseRace(t *testing.T) {
 	if st.DroppedPackets != st.DroppedAfterClose {
 		t.Fatalf("unexpected drops beyond the after-Close cause: %+v", st)
 	}
-	// The estimator view must be available and consistent after the race.
-	est, err := s.Estimator()
-	if err != nil {
-		t.Fatalf("Estimator after Close: %v", err)
-	}
-	if got := est.Estimate(FlowID(1), CSM); got != got { // NaN check
+	// The sealed epoch's estimates must be consistent after the race.
+	if got := ep.Estimate(FlowID(1), CSM); got != got { // NaN check
 		t.Fatalf("estimate is NaN after racing Close")
 	}
-	// Close is documented idempotent, also when racing queries.
-	s.Close()
+	// closeWith is idempotent, also when racing queries.
+	if err := s.closeWith(context.Background()); err != nil {
+		t.Fatalf("second closeWith: %v", err)
+	}
 }

@@ -1,6 +1,7 @@
 package caesar
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -10,6 +11,16 @@ import (
 // epoch runs on, for the tests that drive it directly.
 func newTestSharded(n int, cfg Config, opts ShardedOptions) (*sharded, error) {
 	return newSharded(n, cfg, opts, newTupleHasher(opts.FlowHash, cfg.Seed))
+}
+
+// closeAndSeal closes a bare shard set without a deadline and seals it, as
+// a Rotate does, returning the sealed epoch the engine tests read.
+func closeAndSeal(t testing.TB, s *sharded) *sealedEpoch {
+	t.Helper()
+	if err := s.closeWith(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return s.seal(0)
 }
 
 func shardedConfig() Config {
@@ -26,23 +37,19 @@ func TestShardedBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumShards() != 4 {
-		t.Fatalf("NumShards = %d", s.NumShards())
+	if len(s.shards) != 4 {
+		t.Fatalf("%d shards, want 4", len(s.shards))
 	}
 	const x = 2000
 	h := s.Ingester()
 	for i := 0; i < x; i++ {
 		h.observe([]FlowID{77}, nil)
 	}
-	s.Close()
-	if s.NumPackets() != x {
-		t.Fatalf("NumPackets = %d, want %d", s.NumPackets(), x)
+	ep := closeAndSeal(t, s)
+	if ep.NumPackets() != x {
+		t.Fatalf("NumPackets = %d, want %d", ep.NumPackets(), x)
 	}
-	est, err := s.Estimator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := est.Estimate(77, CSM); math.Abs(got-x) > 2 {
+	if got := ep.Estimate(77, CSM); math.Abs(got-x) > 2 {
 		t.Fatalf("estimate = %v, want ~%d", got, x)
 	}
 }
@@ -66,10 +73,10 @@ func TestShardedDefaultShardCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumShards() < 1 {
-		t.Fatalf("NumShards = %d", s.NumShards())
+	if len(s.shards) < 1 {
+		t.Fatalf("%d shards", len(s.shards))
 	}
-	s.Close()
+	closeAndSeal(t, s)
 }
 
 func TestShardedConcurrentIngest(t *testing.T) {
@@ -96,20 +103,16 @@ func TestShardedConcurrentIngest(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	s.Close()
-	if got := s.NumPackets(); got != writers*perWriter {
+	ep := closeAndSeal(t, s)
+	if got := ep.NumPackets(); got != writers*perWriter {
 		t.Fatalf("NumPackets = %d, want %d", got, writers*perWriter)
 	}
 	// Every flow received exactly writers*perWriter/flows packets; a small
 	// minority will carry counter-sharing noise (~x/k) from a neighbor.
-	est, err := s.Estimator()
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := float64(writers * perWriter / flows)
 	within := 0
 	for f := FlowID(0); f < flows; f++ {
-		if got := est.Estimate(f, CSM); math.Abs(got-want) < 0.1*want {
+		if got := ep.Estimate(f, CSM); math.Abs(got-want) < 0.1*want {
 			within++
 		}
 	}
@@ -123,9 +126,9 @@ func TestShardedRouteStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeAndSeal(t, s)
 	for f := FlowID(0); f < 1000; f++ {
-		a, b := s.ShardFor(f), s.ShardFor(f)
+		a, b := s.router.Route(f), s.router.Route(f)
 		if a != b || a < 0 || a >= 8 {
 			t.Fatalf("unstable or out-of-range shard for flow %d: %d/%d", f, a, b)
 		}
@@ -137,11 +140,11 @@ func TestShardedRouteBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeAndSeal(t, s)
 	counts := make([]int, 8)
 	const flows = 80000
 	for f := FlowID(0); f < flows; f++ {
-		counts[s.ShardFor(f)]++
+		counts[s.router.Route(f)]++
 	}
 	want := float64(flows) / 8
 	for i, c := range counts {
@@ -156,24 +159,21 @@ func TestShardedCloseIdempotentAndGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Estimator(); err == nil {
-		t.Fatal("Estimator before Close accepted")
-	}
 	h := s.Ingester()
 	h.observe([]FlowID{1}, nil)
-	s.Close()
-	s.Close() // idempotent
-	if _, err := s.Estimator(); err != nil {
-		t.Fatal(err)
+	ep := closeAndSeal(t, s)
+	if err := s.closeWith(context.Background()); err != nil { // idempotent
+		t.Fatalf("second closeWith: %v", err)
 	}
 	// Observe after Close is the documented counted no-op: the packet is
-	// discarded, accounted in DroppedAfterClose, and the sketch is untouched.
+	// discarded, accounted in DroppedAfterClose, and the sketch is
+	// untouched. The sealed epoch shares the ledger, so it counts them.
 	h.observe([]FlowID{2}, nil)
 	h.observe([]FlowID{3, 4, 5}, nil)
-	if got := s.NumPackets(); got != 1 {
+	if got := ep.NumPackets(); got != 1 {
 		t.Fatalf("NumPackets after post-Close observes = %d, want 1", got)
 	}
-	st := s.Stats()
+	st := ep.Stats()
 	if st.DroppedAfterClose != 4 {
 		t.Fatalf("DroppedAfterClose = %d, want 4", st.DroppedAfterClose)
 	}
@@ -191,8 +191,7 @@ func TestShardedStatsAggregate(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		h.observe([]FlowID{FlowID(i % 500)}, nil)
 	}
-	s.Close()
-	st := s.Stats()
+	st := closeAndSeal(t, s).Stats()
 	if st.Packets != 10000 {
 		t.Fatalf("aggregated packets = %d", st.Packets)
 	}
@@ -219,18 +218,14 @@ func TestShardedMatchesSingleSketchPerFlow(t *testing.T) {
 	for i := 0; i < 30000; i++ {
 		h.observe([]FlowID{FlowID(i % flows)}, nil)
 	}
-	s.Close()
-	est, err := s.Estimator()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ep := closeAndSeal(t, s)
 	// A few flows will share a counter with a neighbor (expected ~3 pairs
 	// per shard at these parameters) and absorb ~x/k of noise; the bulk of
 	// the population must sit right on the truth.
 	want := 30000.0 / flows
 	within := 0
 	for f := FlowID(0); f < flows; f++ {
-		if got := est.Estimate(f, CSM); math.Abs(got-want) < 0.1*want {
+		if got := ep.Estimate(f, CSM); math.Abs(got-want) < 0.1*want {
 			within++
 		}
 	}
@@ -255,5 +250,5 @@ func BenchmarkShardedObserve(b *testing.B) {
 		}
 	})
 	b.StopTimer()
-	s.Close()
+	closeAndSeal(b, s)
 }

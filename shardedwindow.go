@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/caesar-sketch/caesar/internal/bulk"
 	"github.com/caesar-sketch/caesar/internal/core"
-	"github.com/caesar-sketch/caesar/internal/epoch"
 	"github.com/caesar-sketch/caesar/internal/stats"
 )
 
@@ -46,8 +46,10 @@ import (
 //     its handles (including partially-filled producer buffers), waits for
 //     its shard workers, and flushes every shard's cache to its counters —
 //     while producers are already ingesting into the next epoch.
-//  4. The sealed epoch joins the query ring as a frozen query view; the
-//     oldest sealed epoch is retired once the ring holds `epochs`.
+//  4. The old shard set is sealed: its flushed shards, loss ledger and
+//     per-shard query views become a sealed epoch, which joins the query
+//     ring; the oldest sealed epoch is retired once the ring holds
+//     `epochs`. The shard set itself (workers, rings, handles) is not kept.
 //
 // Because the seal is the shard set's shutdown, every packet that entered a
 // handle is either applied to the sealed epoch's counters or counted in its
@@ -73,6 +75,7 @@ import (
 type ShardedWindow struct {
 	cfg     Config
 	nshards int
+	epochs  int // the most sealed epochs the ring holds
 	opts    ShardedOptions
 
 	// ids derives flow IDs for the tuple ingest paths under opts.FlowHash.
@@ -89,11 +92,20 @@ type ShardedWindow struct {
 	handles []*WindowIngester
 	closed  bool
 
-	// ringMu guards the sealed-epoch ring and the retired-epoch
+	// ringMu guards the epoch lifecycle: the open epoch's shard set, the
+	// sealed epochs and the rotation count below, and the retired-epoch
 	// accumulators. Rotate takes the write side only for the final ring
-	// push; queries take the read side briefly to snapshot the ring.
+	// push; queries take the read side briefly to snapshot the ring. Every
+	// write also holds mu, so Rotate, Close and Ingester read cur and
+	// rotations under mu alone.
 	ringMu sync.RWMutex
-	lc     *epoch.Lifecycle[*sharded, *windowEpoch]
+	// cur is the open epoch's shard set, nil after Close.
+	cur *sharded
+	// sealed are the sealed epochs that back queries, oldest first, at most
+	// epochs of them.
+	sealed []*sealedEpoch
+	// rotations counts every epoch ever sealed, retired ones included.
+	rotations int
 
 	// Cumulative totals of epochs retired from the ring, so the ledger
 	// invariant spans the whole run, not just the epochs still queryable.
@@ -106,17 +118,9 @@ type ShardedWindow struct {
 	// epochScratch is the epoch list a query runs over, and grp and sums are
 	// the bulk queries' shard grouping and per-flow sums.
 	queryMu      sync.Mutex
-	epochScratch []*windowEpoch
+	epochScratch []*sealedEpoch
 	grp          shardGroups
 	sums         []float64
-}
-
-// windowEpoch is one sealed epoch: the closed shard set (which owns the
-// counters and the loss ledger) and its frozen query view.
-type windowEpoch struct {
-	rotation int // 0-based epoch ordinal since window construction
-	sh       *sharded
-	est      *shardedEstimator
 }
 
 // NewShardedWindow builds a sliding window of `epochs` sealed epochs over
@@ -134,33 +138,30 @@ func NewShardedWindowOptions(epochs, nshards int, cfg Config, opts ShardedOption
 	if epochs < 1 {
 		return nil, fmt.Errorf("caesar: sharded window needs >= 1 epoch, got %d", epochs)
 	}
-	w := &ShardedWindow{cfg: cfg, nshards: nshards, opts: opts, ids: newTupleHasher(opts.FlowHash, cfg.Seed)}
+	w := &ShardedWindow{cfg: cfg, nshards: nshards, epochs: epochs, opts: opts, ids: newTupleHasher(opts.FlowHash, cfg.Seed)}
 	first, err := w.newEpochSharded(0)
 	if err != nil {
 		return nil, err
 	}
-	w.nshards = first.NumShards() // pin the GOMAXPROCS default for later epochs
-	lc, err := epoch.NewLifecycle[*sharded, *windowEpoch](epochs, first)
-	if err != nil {
-		first.Close()
-		return nil, err
-	}
-	w.lc = lc
+	w.nshards = len(first.shards) // pin the GOMAXPROCS default for later epochs
+	w.cur = first
 	return w, nil
 }
 
-// newEpochSharded builds the shard set for the rotation-th epoch. The
-// epoch seed strides by nshards+1 rotations so that no (epoch, shard) pair
-// ever reuses another pair's hash seed — newSharded derives shard i's seed
-// at offset i from the epoch seed, and the next epoch starts beyond shard
-// n-1's offset.
+// newEpochSharded builds the shard set for the rotation-th epoch. Each
+// rotation advances the epoch seed by nshards+1 seed strides, so that no
+// (epoch, shard) pair ever reuses another pair's hash seed — newSharded
+// derives shard i's seed at offset i from the epoch seed, and the next
+// epoch starts beyond shard n-1's offset. Rotation 0 takes the base seed,
+// and the seed depends only on the rotation ordinal, so a restored window
+// resumes with exactly the seeds the writer would have used.
 func (w *ShardedWindow) newEpochSharded(rotation int) (*sharded, error) {
 	per := w.cfg
 	stride := w.nshards + 1
 	if stride < 2 {
 		stride = 2
 	}
-	per.Seed = epoch.Seed(w.cfg.Seed, rotation*stride)
+	per.Seed = w.cfg.Seed + uint64(rotation*stride)*seedStride
 	return newSharded(w.nshards, per, w.opts, w.ids)
 }
 
@@ -171,7 +172,7 @@ func (w *ShardedWindow) NumShards() int { return w.nshards }
 func (w *ShardedWindow) EpochsSealed() int {
 	w.ringMu.RLock()
 	defer w.ringMu.RUnlock()
-	return w.lc.Len()
+	return len(w.sealed)
 }
 
 // Rotations returns how many epochs have been sealed in total, including
@@ -179,7 +180,7 @@ func (w *ShardedWindow) EpochsSealed() int {
 func (w *ShardedWindow) Rotations() int {
 	w.ringMu.RLock()
 	defer w.ringMu.RUnlock()
-	return w.lc.Rotations()
+	return w.rotations
 }
 
 // Ingester returns a new per-producer ingest handle bound to the window.
@@ -192,7 +193,7 @@ func (w *ShardedWindow) Ingester() *WindowIngester {
 	if w.closed {
 		panic("caesar: Ingester after Close")
 	}
-	wi := &WindowIngester{h: w.lc.Current().Ingester()}
+	wi := &WindowIngester{h: w.cur.Ingester()}
 	w.handles = append(w.handles, wi)
 	return wi
 }
@@ -283,11 +284,11 @@ func (w *ShardedWindow) RotateContext(ctx context.Context) error {
 	if w.closed {
 		return fmt.Errorf("caesar: Rotate after Close")
 	}
-	next, err := w.newEpochSharded(w.lc.Rotations() + 1)
+	next, err := w.newEpochSharded(w.rotations + 1)
 	if err != nil {
 		return err
 	}
-	old := w.lc.Current()
+	old := w.cur
 	// Arm the old epoch's abort latch before the swap: under Block, a
 	// producer waiting on a full ring behind a wedged worker holds its
 	// handle's mutex, and only the abort releases that wait.
@@ -300,25 +301,25 @@ func (w *ShardedWindow) RotateContext(ctx context.Context) error {
 	return closeErr
 }
 
-// sealInto pushes the closed epoch into the query ring and installs next
-// as the current epoch, folding a retired epoch's totals into the
-// cumulative counters. Called with w.mu held; takes the ring write lock
-// only for the push itself.
+// sealInto seals the closed shard set into the query ring and installs
+// next as the current epoch, retiring the oldest sealed epoch once the ring
+// is full and folding its totals into the cumulative counters. Called with
+// w.mu held; takes the ring write lock only for the push itself.
 func (w *ShardedWindow) sealInto(old *sharded, next *sharded) {
-	est, err := old.Estimator()
-	if err != nil {
-		// Unreachable: the epoch was just closed, and Estimator only fails
-		// on an open sketch. Seal an empty view rather than lose the epoch.
-		est = &shardedEstimator{owner: old, ests: make([]*Estimator, old.NumShards())}
-	}
-	we := &windowEpoch{rotation: w.lc.Rotations(), sh: old, est: est}
+	ep := old.seal(w.rotations)
 	w.ringMu.Lock()
-	retired, wasRetired := w.lc.Rotate(we, next)
-	if wasRetired {
-		w.retiredPackets += retired.sh.NumPackets()
-		w.retiredDropped += retired.sh.DroppedPackets()
-		accumulateStats(&w.retiredStats, retired.sh.Stats())
+	if len(w.sealed) == w.epochs {
+		retired := w.sealed[0]
+		w.retiredPackets += retired.NumPackets()
+		w.retiredDropped += retired.DroppedPackets()
+		accumulateStats(&w.retiredStats, retired.Stats())
+		// Delete zeroes the vacated slot, so the backing array keeps no
+		// retired epoch.
+		w.sealed = slices.Delete(w.sealed, 0, 1)
 	}
+	w.sealed = append(w.sealed, ep)
+	w.rotations++
+	w.cur = next
 	w.ringMu.Unlock()
 }
 
@@ -340,7 +341,7 @@ func (w *ShardedWindow) CloseContext(ctx context.Context) error {
 		return nil
 	}
 	w.closed = true
-	old := w.lc.Current()
+	old := w.cur
 	closeErr := old.closeWith(ctx)
 	w.sealInto(old, nil)
 	return closeErr
@@ -355,8 +356,8 @@ func (w *ShardedWindow) NumPackets() uint64 {
 	w.ringMu.RLock()
 	defer w.ringMu.RUnlock()
 	n := w.retiredPackets
-	for i, ln := 0, w.lc.Len(); i < ln; i++ {
-		n += w.lc.At(i).sh.NumPackets()
+	for _, ep := range w.sealed {
+		n += ep.NumPackets()
 	}
 	return n
 }
@@ -369,11 +370,11 @@ func (w *ShardedWindow) DroppedPackets() uint64 {
 	w.ringMu.RLock()
 	defer w.ringMu.RUnlock()
 	n := w.retiredDropped
-	for i, ln := 0, w.lc.Len(); i < ln; i++ {
-		n += w.lc.At(i).sh.DroppedPackets()
+	for _, ep := range w.sealed {
+		n += ep.DroppedPackets()
 	}
-	if cur := w.lc.Current(); cur != nil {
-		n += cur.DroppedPackets()
+	if w.cur != nil {
+		n += w.cur.ledger.stats().dropped()
 	}
 	return n
 }
@@ -389,11 +390,11 @@ func (w *ShardedWindow) EffectiveLossRate() float64 {
 func (w *ShardedWindow) Health() Health {
 	w.ringMu.RLock()
 	defer w.ringMu.RUnlock()
-	if cur := w.lc.Current(); cur != nil {
-		return cur.Health()
+	if w.cur != nil {
+		return w.cur.ledger.health()
 	}
-	if n := w.lc.Len(); n > 0 {
-		return w.lc.At(n - 1).sh.Health()
+	if n := len(w.sealed); n > 0 {
+		return w.sealed[n-1].ledger.health()
 	}
 	return Healthy
 }
@@ -407,17 +408,19 @@ func (w *ShardedWindow) Stats() Stats {
 	w.ringMu.RLock()
 	defer w.ringMu.RUnlock()
 	agg := w.retiredStats
-	for i, ln := 0, w.lc.Len(); i < ln; i++ {
-		accumulateStats(&agg, w.lc.At(i).sh.Stats())
+	for _, ep := range w.sealed {
+		accumulateStats(&agg, ep.Stats())
 	}
-	if cur := w.lc.Current(); cur != nil {
-		accumulateStats(&agg, cur.ledgerStats())
-		agg.Health = cur.Health()
-		agg.QuarantinedShards = cur.quarantinedShards()
-	} else if n := w.lc.Len(); n > 0 {
-		last := w.lc.At(n - 1).sh
-		agg.Health = last.Health()
-		agg.QuarantinedShards = last.quarantinedShards()
+	var last *ledger
+	if w.cur != nil {
+		last = w.cur.ledger
+		accumulateStats(&agg, last.stats())
+	} else if n := len(w.sealed); n > 0 {
+		last = w.sealed[n-1].ledger
+	}
+	if last != nil {
+		agg.Health = last.health()
+		agg.QuarantinedShards = last.quarantined()
 	}
 	agg.DroppedPackets = agg.dropped()
 	agg.EffectiveLossRate = lossRate(agg.DroppedPackets, uint64(agg.Packets))
@@ -446,21 +449,6 @@ func accumulateStats(dst *Stats, src Stats) {
 	dst.DroppedBatches += src.DroppedBatches
 }
 
-// ledgerStats builds a Stats carrying only the per-cause loss ledger — the
-// atomic counters that are safe to read while workers are still applying
-// batches.
-func (s *sharded) ledgerStats() Stats {
-	return Stats{
-		DroppedOverflow:   s.drops.overflow.Load(),
-		DroppedSampled:    s.drops.sampled.Load(),
-		DroppedQuarantine: s.drops.quarantine.Load(),
-		DroppedTimeout:    s.drops.timeout.Load(),
-		DroppedAfterClose: s.drops.afterClose.Load(),
-		DroppedInjected:   s.drops.injected.Load(),
-		DroppedBatches:    s.drops.batches.Load(),
-	}
-}
-
 // dropped returns the sum of the per-cause drop counters.
 func (st Stats) dropped() uint64 {
 	return st.DroppedOverflow + st.DroppedSampled + st.DroppedQuarantine +
@@ -469,10 +457,12 @@ func (st Stats) dropped() uint64 {
 
 // snapshotEpochs copies the sealed ring, oldest first, into the query
 // scratch. Called with queryMu held; takes the ring read lock only for the
-// copy, so queries never block a rotation's seal barrier.
-func (w *ShardedWindow) snapshotEpochs() []*windowEpoch {
+// copy, so queries never block a rotation's seal barrier. The caller clears
+// the returned scratch before it releases queryMu, so the scratch never
+// keeps an epoch reachable after a later rotation retires it.
+func (w *ShardedWindow) snapshotEpochs() []*sealedEpoch {
 	w.ringMu.RLock()
-	w.epochScratch = w.lc.AppendSealed(w.epochScratch[:0])
+	w.epochScratch = append(w.epochScratch[:0], w.sealed...)
 	w.ringMu.RUnlock()
 	return w.epochScratch
 }
@@ -484,9 +474,11 @@ func (w *ShardedWindow) snapshotEpochs() []*windowEpoch {
 func (w *ShardedWindow) Estimate(flow FlowID, m Method) float64 {
 	w.queryMu.Lock()
 	defer w.queryMu.Unlock()
+	epochs := w.snapshotEpochs()
+	defer clear(epochs)
 	var sum float64
-	for _, we := range w.snapshotEpochs() {
-		sum += we.est.Estimate(flow, m)
+	for _, ep := range epochs {
+		sum += ep.Estimate(flow, m)
 	}
 	return sum
 }
@@ -498,9 +490,11 @@ func (w *ShardedWindow) EstimateWithInterval(flow FlowID, alpha float64) (float6
 	w.queryMu.Lock()
 	defer w.queryMu.Unlock()
 	z := stats.ZAlpha(alpha)
+	epochs := w.snapshotEpochs()
+	defer clear(epochs)
 	var sum, varsum float64
-	for _, we := range w.snapshotEpochs() {
-		est, iv := we.est.intervalAt(flow, z)
+	for _, ep := range epochs {
+		est, iv := ep.intervalAt(flow, z)
 		sum += est
 		half := iv.Width() / 2
 		varsum += (half / z) * (half / z)
@@ -535,7 +529,9 @@ func (w *ShardedWindow) QueryAll(flows []FlowID, m Method, workers int, dst []fl
 func (w *ShardedWindow) queryAllWindow(flows []FlowID, m Method, workers int, dst []float64) []float64 {
 	w.queryMu.Lock()
 	defer w.queryMu.Unlock()
-	return w.sumEpochs(w.snapshotEpochs(), flows, m, workers, dst)
+	epochs := w.snapshotEpochs()
+	defer clear(epochs)
+	return w.sumEpochs(epochs, flows, m, workers, dst)
 }
 
 // sumEpochs is the one bulk-query path of the window and its epoch views:
@@ -546,21 +542,21 @@ func (w *ShardedWindow) queryAllWindow(flows []FlowID, m Method, workers int, ds
 // that is +0 + x, which is x bit for bit because CSM and MLM never return
 // −0. Called with queryMu held: the shard grouping and the sums are query
 // scratch.
-func (w *ShardedWindow) sumEpochs(epochs []*windowEpoch, flows []FlowID, m Method, workers int, dst []float64) []float64 {
+func (w *ShardedWindow) sumEpochs(epochs []*sealedEpoch, flows []FlowID, m Method, workers int, dst []float64) []float64 {
 	out := resizeFloats(dst, len(flows))
 	clear(out)
 	if len(flows) == 0 || len(epochs) == 0 {
 		return out
 	}
 	cm := coreMethod(m)
-	n := len(epochs[0].est.ests)
+	n := len(epochs[0].ests)
 	if n == 1 {
 		// One shard owns every flow, so there is nothing to group; each
 		// epoch's estimator fans flow chunks out across workers itself. An
 		// unrecoverable shard estimates 0, which adds nothing.
 		part := w.sums
-		for _, we := range epochs {
-			est := we.est.ests[0]
+		for _, ep := range epochs {
+			est := ep.ests[0]
 			if est == nil {
 				continue
 			}
@@ -579,7 +575,7 @@ func (w *ShardedWindow) sumEpochs(epochs []*windowEpoch, flows []FlowID, m Metho
 	// write disjoint positions of out — and the serial path runs the shard
 	// loop directly: handing a closure to bulk.Do would heap-allocate it and
 	// break the steady-state zero-alloc contract.
-	w.grp.group(epochs[0].est.owner.router, flows)
+	w.grp.group(epochs[0].router, flows)
 	w.sums = resizeFloats(w.sums, len(flows))
 	if nw := bulk.Workers(workers, n); nw <= 1 {
 		w.sumShards(epochs, cm, 0, n, out)
@@ -594,7 +590,7 @@ func (w *ShardedWindow) sumEpochs(epochs []*windowEpoch, flows []FlowID, m Metho
 // then scatters each flow's sum to its input position in out. An
 // unrecoverable shard estimates 0, and adding 0 to a sum that started at +0
 // changes no bit, so its epoch is skipped.
-func (w *ShardedWindow) sumShards(epochs []*windowEpoch, cm core.Method, s0, s1 int, out []float64) {
+func (w *ShardedWindow) sumShards(epochs []*sealedEpoch, cm core.Method, s0, s1 int, out []float64) {
 	g := &w.grp
 	for s := s0; s < s1; s++ {
 		lo, hi := g.off[s], g.off[s+1]
@@ -603,8 +599,8 @@ func (w *ShardedWindow) sumShards(epochs []*windowEpoch, cm core.Method, s0, s1 
 		}
 		sum := w.sums[lo:hi]
 		clear(sum)
-		for _, we := range epochs {
-			est := we.est.ests[s]
+		for _, ep := range epochs {
+			est := ep.ests[s]
 			if est == nil {
 				continue
 			}
@@ -625,9 +621,9 @@ func (w *ShardedWindow) sumShards(epochs []*windowEpoch, cm core.Method, s0, s1 
 func (w *ShardedWindow) Epochs() []EpochView {
 	w.ringMu.RLock()
 	defer w.ringMu.RUnlock()
-	views := make([]EpochView, 0, w.lc.Len())
-	for i, n := 0, w.lc.Len(); i < n; i++ {
-		views = append(views, EpochView{w: w, we: w.lc.At(i)})
+	views := make([]EpochView, 0, len(w.sealed))
+	for _, ep := range w.sealed {
+		views = append(views, EpochView{w: w, ep: ep})
 	}
 	return views
 }
@@ -639,11 +635,11 @@ func (w *ShardedWindow) Epochs() []EpochView {
 func (w *ShardedWindow) LastSealed() (EpochView, bool) {
 	w.ringMu.RLock()
 	defer w.ringMu.RUnlock()
-	n := w.lc.Len()
+	n := len(w.sealed)
 	if n == 0 {
 		return EpochView{}, false
 	}
-	return EpochView{w: w, we: w.lc.At(n - 1)}, true
+	return EpochView{w: w, ep: w.sealed[n-1]}, true
 }
 
 // EpochView is a frozen query handle over one sealed epoch — the unit the
@@ -651,37 +647,40 @@ func (w *ShardedWindow) LastSealed() (EpochView, bool) {
 // detection). All query methods serialize on the window's query mutex.
 type EpochView struct {
 	w  *ShardedWindow
-	we *windowEpoch
+	ep *sealedEpoch
 }
 
 // Rotation returns the epoch's 0-based ordinal since window construction.
-func (v EpochView) Rotation() int { return v.we.rotation }
+func (v EpochView) Rotation() int { return v.ep.rotation }
 
 // NumPackets returns the packets applied to this epoch's counters.
-func (v EpochView) NumPackets() uint64 { return v.we.sh.NumPackets() }
+func (v EpochView) NumPackets() uint64 { return v.ep.NumPackets() }
 
 // DroppedPackets returns this epoch's counted drops, by all causes.
-func (v EpochView) DroppedPackets() uint64 { return v.we.sh.DroppedPackets() }
+func (v EpochView) DroppedPackets() uint64 { return v.ep.DroppedPackets() }
 
 // Stats returns this epoch's full observability counters and loss ledger.
-func (v EpochView) Stats() Stats { return v.we.sh.Stats() }
+func (v EpochView) Stats() Stats { return v.ep.Stats() }
 
 // Covered reports whether the flow's owning shard produced a query view in
-// this epoch (false only for unrecoverable quarantined shards).
-func (v EpochView) Covered(flow FlowID) bool { return v.we.est.Covered(flow) }
+// this epoch (false only for shards the seal built no view for).
+func (v EpochView) Covered(flow FlowID) bool { return v.ep.Covered(flow) }
 
 // Estimate returns the flow's estimated count within this epoch alone.
 func (v EpochView) Estimate(flow FlowID, m Method) float64 {
 	v.w.queryMu.Lock()
 	defer v.w.queryMu.Unlock()
-	return v.we.est.Estimate(flow, m)
+	return v.ep.Estimate(flow, m)
 }
 
 // EstimateWithInterval returns the epoch-local CSM estimate and interval.
+// Flows that are not Covered return (0, zero interval). An alpha outside
+// (0,1) panics for every flow, covered or not, as it does in
+// ShardedWindow.EstimateWithInterval.
 func (v EpochView) EstimateWithInterval(flow FlowID, alpha float64) (float64, Interval) {
 	v.w.queryMu.Lock()
 	defer v.w.queryMu.Unlock()
-	return v.we.est.EstimateWithInterval(flow, alpha)
+	return v.ep.intervalAt(flow, stats.ZAlpha(alpha))
 }
 
 // EstimateMany bulk-estimates every flow within this epoch alone;
@@ -700,7 +699,7 @@ func (v EpochView) QueryAll(flows []FlowID, m Method, workers int, dst []float64
 	w := v.w
 	w.queryMu.Lock()
 	defer w.queryMu.Unlock()
-	w.epochScratch = append(w.epochScratch[:0], v.we)
+	w.epochScratch = append(w.epochScratch[:0], v.ep)
 	defer clear(w.epochScratch)
 	return w.sumEpochs(w.epochScratch, flows, m, workers, dst)
 }

@@ -3,8 +3,8 @@ package caesar
 import (
 	"fmt"
 	"io"
+	"slices"
 
-	"github.com/caesar-sketch/caesar/internal/epoch"
 	"github.com/caesar-sketch/caesar/internal/sketch"
 )
 
@@ -12,24 +12,37 @@ import (
 // CSNP container.
 const shardedWindowAlgoName = "caesar-shardedwindow"
 
-// WriteTo serializes the window's sealed epochs — each one a complete
-// shard-set state — plus the retired-epoch accumulators and the FlowHash,
-// so a restored window (or an offline query process) answers
+// WriteTo serializes the window's sealed epochs — each one's shard
+// sketches and loss ledger — plus the retired-epoch accumulators and the
+// FlowHash, so a restored window (or an offline query process) answers
 // bit-identically to the live one and the lifetime ledger survives the
 // restart. The still-open epoch is NOT included, exactly mirroring
 // queries; call Rotate (or Close) first to fold it in.
+//
+// A sealed epoch whose seal built no query view for a shard (a deadline
+// abandoned its worker, or its flush or estimator panicked) cannot be
+// checkpointed: while one is in the ring, WriteTo writes nothing and
+// returns an error naming the epoch's rotation and the shard. Checkpoints
+// resume once that epoch retires.
 //
 // Safe to call while ingesting and rotating: sealed epochs are immutable,
 // and the ring is snapshotted under the ring lock. Implements io.WriterTo;
 // load with ReadShardedWindow.
 func (w *ShardedWindow) WriteTo(dst io.Writer) (int64, error) {
 	w.ringMu.RLock()
-	epochs := w.lc.AppendSealed(nil)
-	rotations := w.lc.Rotations()
-	capacity := w.lc.Capacity()
+	epochs := slices.Clone(w.sealed)
+	rotations := w.rotations
 	retiredPackets, retiredDropped := w.retiredPackets, w.retiredDropped
 	retired := w.retiredStats
 	w.ringMu.RUnlock()
+	// A shard without a query view cannot round-trip: a deadline-abandoned
+	// one was never flushed, and a restore would build a view the live
+	// epoch lacks.
+	for _, ep := range epochs {
+		if i := slices.Index(ep.ests, nil); i >= 0 {
+			return 0, fmt.Errorf("caesar: sealed epoch %d cannot be checkpointed: its seal built no query view for shard %d; checkpoints resume once the epoch retires", ep.rotation, i)
+		}
+	}
 
 	var e sketch.Encoder
 	e.Section("conf", func(e *sketch.Encoder) {
@@ -43,7 +56,7 @@ func (w *ShardedWindow) WriteTo(dst io.Writer) (int64, error) {
 		e.Int(w.nshards)
 	})
 	e.Section("wind", func(e *sketch.Encoder) {
-		e.Int(capacity)
+		e.Int(w.epochs)
 		e.Int(rotations)
 		e.Int(len(epochs))
 		e.U64(retiredPackets)
@@ -53,11 +66,8 @@ func (w *ShardedWindow) WriteTo(dst io.Writer) (int64, error) {
 	// consistent with the retiredPackets/retiredDropped totals after a
 	// restore (Health and QuarantinedShards are point-in-time, not carried).
 	e.Section("rets", func(e *sketch.Encoder) { encodeStats(e, retired) })
-	for _, we := range epochs {
-		e.Section("epch", func(e *sketch.Encoder) {
-			e.Int(we.rotation)
-			we.sh.encodeState(e)
-		})
+	for _, ep := range epochs {
+		e.Section("epch", ep.encode)
 	}
 	// Trailing optional section: the FlowHash the epochs' flow IDs were
 	// derived under. Written last so older readers, which stop after the
@@ -144,15 +154,11 @@ func ReadShardedWindowOptions(r io.Reader, opts ShardedOptions) (*ShardedWindow,
 		return nil, err
 	}
 
-	sealed := make([]*windowEpoch, 0, nSealed)
+	sealed := make([]*sealedEpoch, 0, nSealed)
 	for i := 0; i < nSealed; i++ {
-		var rot int
-		var sh *sharded
+		var ep *sealedEpoch
 		var epochErr error
-		d.Section("epch", func(d *sketch.Decoder) {
-			rot = d.Int()
-			sh, epochErr = decodeShardedState(d)
-		})
+		d.Section("epch", func(d *sketch.Decoder) { ep, epochErr = decodeSealedEpoch(d) })
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
@@ -161,14 +167,10 @@ func ReadShardedWindowOptions(r io.Reader, opts ShardedOptions) (*ShardedWindow,
 		}
 		// Window bulk queries group flows by shard once for all epochs, so
 		// every epoch must split the flow space the same way.
-		if got := sh.NumShards(); got != nshards {
+		if got := len(ep.shards); got != nshards {
 			return nil, fmt.Errorf("caesar: sealed epoch %d has %d shards, window has %d", i, got, nshards)
 		}
-		est, err := sh.Estimator()
-		if err != nil {
-			return nil, fmt.Errorf("caesar: sealed epoch %d: %w", i, err)
-		}
-		sealed = append(sealed, &windowEpoch{rotation: rot, sh: sh, est: est})
+		sealed = append(sealed, ep)
 	}
 	if d.Remaining() > 0 {
 		var fh FlowHash
@@ -184,8 +186,11 @@ func ReadShardedWindowOptions(r io.Reader, opts ShardedOptions) (*ShardedWindow,
 	w := &ShardedWindow{
 		cfg:            cfg,
 		nshards:        nshards,
+		epochs:         capacity,
 		opts:           opts,
 		ids:            newTupleHasher(opts.FlowHash, cfg.Seed),
+		sealed:         sealed,
+		rotations:      rotations,
 		retiredPackets: retiredPackets,
 		retiredDropped: retiredDropped,
 		retiredStats:   retired,
@@ -194,12 +199,7 @@ func ReadShardedWindowOptions(r io.Reader, opts ShardedOptions) (*ShardedWindow,
 	if err != nil {
 		return nil, err
 	}
-	lc, err := epoch.RestoreLifecycle(capacity, sealed, rotations, cur)
-	if err != nil {
-		cur.Close()
-		return nil, err
-	}
-	w.lc = lc
+	w.cur = cur
 	return w, nil
 }
 

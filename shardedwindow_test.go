@@ -6,9 +6,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/caesar-sketch/caesar/internal/sketch"
 	"github.com/caesar-sketch/caesar/internal/stats"
@@ -101,6 +103,10 @@ func TestShardedWindowSlidesOldEpochsOut(t *testing.T) {
 	}
 	if got := w.Estimate(2, CSM); math.Abs(got-500) > 8 {
 		t.Fatalf("flow 2 window estimate = %v, want ~500", got)
+	}
+	// The oldest epoch retired, and the ring lists the rest oldest first.
+	if views := w.Epochs(); len(views) != 2 || views[0].Rotation() != 1 || views[1].Rotation() != 2 || w.Rotations() != 3 {
+		t.Fatalf("%d sealed epochs after 3 rotations of a 2-epoch window (rotations %d), want rotations 1 and 2", len(views), w.Rotations())
 	}
 	// Retired epochs stay in the lifetime ledger.
 	if err := w.Close(); err != nil {
@@ -450,7 +456,7 @@ func TestShardedWindowBulkMatchesScalarEdges(t *testing.T) {
 
 		// An unrecoverable shard in one epoch: its flows take 0 from that
 		// epoch only.
-		w.lc.At(1).est.ests[nshards-1] = nil
+		w.sealed[1].ests[nshards-1] = nil
 		checkWindowBulk(t, fmt.Sprintf("%d shards, nil shard estimator", nshards), w, flows)
 		for _, sw := range []*ShardedWindow{w, r} {
 			if err := sw.Close(); err != nil {
@@ -537,8 +543,9 @@ func TestReadShardedWindowRejectsShardMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The second sealed epoch takes the 3-shard epoch's state.
-	we, src := w.lc.At(1), other.lc.At(0)
-	we.sh, we.est = src.sh, src.est
+	ep := *other.sealed[0]
+	ep.rotation = w.sealed[1].rotation
+	w.sealed[1] = &ep
 
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
@@ -547,6 +554,87 @@ func TestReadShardedWindowRejectsShardMismatch(t *testing.T) {
 	_, err = ReadShardedWindow(&buf)
 	if err == nil || !strings.Contains(err.Error(), "sealed epoch 1 has 3 shards") {
 		t.Fatalf("ReadShardedWindow = %v, want a shard-count error naming sealed epoch 1", err)
+	}
+}
+
+// TestReadShardedWindowRejectsBadLifecycle pins the restore's checks on
+// the checkpoint's window section: a window needs at least one epoch, can
+// hold no more sealed epochs than its epoch count, and cannot have sealed
+// more epochs than it rotated.
+func TestReadShardedWindowRejectsBadLifecycle(t *testing.T) {
+	cfg := shardedWindowConfig()
+	for _, tc := range []struct {
+		name                      string
+		epochs, rotations, sealed int
+		want                      string
+	}{
+		{"no epochs", 0, 0, 0, "needs >= 1 epoch, got 0"},
+		{"more sealed epochs than the window holds", 2, 3, 3, "carries 3 sealed epochs for a 2-epoch window"},
+		{"rotations below the sealed count", 4, 1, 2, "rotations 1 below sealed epoch count 2"},
+	} {
+		var e sketch.Encoder
+		e.Section("conf", func(e *sketch.Encoder) {
+			e.Int(cfg.K)
+			e.Int(cfg.Counters)
+			e.Int(cfg.CounterBits)
+			e.Int(cfg.CacheEntries)
+			e.U64(cfg.CacheCapacity)
+			e.U8(uint8(cfg.Policy))
+			e.U64(cfg.Seed)
+			e.Int(2)
+		})
+		e.Section("wind", func(e *sketch.Encoder) {
+			e.Int(tc.epochs)
+			e.Int(tc.rotations)
+			e.Int(tc.sealed)
+			e.U64(0)
+			e.U64(0)
+		})
+		var buf bytes.Buffer
+		if _, err := sketch.WriteSnapshot(&buf, shardedWindowAlgoName, e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadShardedWindow(&buf); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ReadShardedWindow = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestSealedEpochReleasesShardSet pins that a sealed epoch holds no ingest
+// machinery: once Rotate seals the open epoch, its shard set (workers,
+// rings, batch pool, handles) becomes garbage, while the sealed epoch keeps
+// answering.
+func TestSealedEpochReleasesShardSet(t *testing.T) {
+	w, err := NewShardedWindow(2, 2, shardedWindowConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	h := w.Ingester()
+	for i := 0; i < 500; i++ {
+		h.Observe(7)
+	}
+	released := make(chan struct{})
+	runtime.SetFinalizer(w.cur, func(*sharded) { close(released) })
+	if err := w.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	// A sync.Pool inside the shard set stays registered until the GC after
+	// next, so collect until the finalizer runs.
+	deadline := time.Now().Add(10 * time.Second)
+	for collected := false; !collected; {
+		runtime.GC()
+		select {
+		case <-released:
+			collected = true
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatal("the sealed epoch still keeps its shard set reachable")
+			}
+		}
+	}
+	if got := w.Estimate(7, CSM); math.Abs(got-500) > 2 {
+		t.Fatalf("sealed epoch estimate = %v after its shard set was collected, want ~500", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package caesar
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -188,7 +189,7 @@ func TestShardedBudgetSumsExact(t *testing.T) {
 		if sumEntries != tc.cacheEntries {
 			t.Errorf("n=%d: shard cache entries sum to %d, configured %d", tc.n, sumEntries, tc.cacheEntries)
 		}
-		s.Close()
+		closeAndSeal(t, s)
 	}
 }
 
@@ -216,13 +217,20 @@ func TestShardedCloseConcurrent(t *testing.T) {
 		closers.Add(1)
 		go func() {
 			defer closers.Done()
-			s.Close()
+			if err := s.closeWith(context.Background()); err != nil {
+				t.Errorf("concurrent closeWith: %v", err)
+			}
 		}()
 	}
 	closers.Wait()
 	obs.Wait()
-	if _, err := s.Estimator(); err != nil {
-		t.Fatalf("Estimator after concurrent Close: %v", err)
+	// Every packet was drained by the close or counted as an after-close
+	// drop in the ledger the sealed epoch shares.
+	ep := s.seal(0)
+	if got := ep.NumPackets() + ep.DroppedPackets(); got != 4*50000 {
+		t.Fatalf("after concurrent closes: applied+dropped = %d, observed %d", got, 4*50000)
 	}
-	s.Close() // still idempotent afterwards
+	if err := s.closeWith(context.Background()); err != nil { // still idempotent afterwards
+		t.Fatalf("closeWith after concurrent closes: %v", err)
+	}
 }

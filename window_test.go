@@ -179,7 +179,7 @@ func TestWindowEpochSeedsDiffer(t *testing.T) {
 		}
 	}
 	views := w.Epochs()
-	if s0, s1 := views[0].we.sh.shards[0].s.Config().Seed, views[1].we.sh.shards[0].s.Config().Seed; s0 == s1 {
+	if s0, s1 := views[0].ep.shards[0].s.Config().Seed, views[1].ep.shards[0].s.Config().Seed; s0 == s1 {
 		t.Fatalf("epochs 0 and 1 share hash seed %#x", s0)
 	}
 	if got := w.Estimate(5, CSM); math.Abs(got-800) > 4 {
